@@ -67,6 +67,7 @@ from .bench import (
     expand_sweep,
     load_sweep,
     records_from_json,
+    report_row,
     run,
     run_sweep,
 )

@@ -12,9 +12,10 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -114,45 +115,12 @@ class BenchRecord:
     ms_cover: float | None = None
     ms_opt: float | None = None
 
-    def _ratio(self, count: int | None) -> float | None:
-        if count is None or self.opt is None or self.opt == 0:
+    def ratio(self, algorithm: str) -> float | None:
+        """The algorithm's machine count over opt; None if either is missing or opt is 0."""
+        count = getattr(self, algorithm)
+        if count is None or not self.opt:
             return None
         return count / self.opt
-
-    @property
-    def ratio_ff(self) -> float | None:
-        return self._ratio(self.ff)
-
-    @property
-    def ratio_nf(self) -> float | None:
-        return self._ratio(self.nf)
-
-    @property
-    def ratio_cover(self) -> float | None:
-        return self._ratio(self.cover)
-
-
-def _record_from_reports(
-    instance_id: str, instance: Instance, reports: Sequence[SolveReport]
-) -> BenchRecord:
-    counts: dict[str, int | None] = {}
-    times: dict[str, float | None] = {}
-    for rep in reports:
-        counts[rep.algorithm] = rep.machine_count
-        times[rep.algorithm] = None if rep.error else rep.ms
-    return BenchRecord(
-        instance_id=instance_id,
-        n=instance.n,
-        classes=classify(instance),
-        ff=counts.get("ff"),
-        nf=counts.get("nf"),
-        cover=counts.get("cover"),
-        opt=counts.get("opt"),
-        ms_ff=times.get("ff"),
-        ms_nf=times.get("nf"),
-        ms_cover=times.get("cover"),
-        ms_opt=times.get("opt"),
-    )
 
 
 def evaluate(
@@ -164,9 +132,12 @@ def evaluate(
     node_budget: int | None = None,
 ) -> BenchRecord:
     """Run solvers on one instance and fold the outcomes into a record."""
-    reports = run(instance, algorithms, oracle_cap=oracle_cap, node_budget=node_budget)
+    fields: dict[str, int | float | None] = {}
+    for rep in run(instance, algorithms, oracle_cap=oracle_cap, node_budget=node_budget):
+        fields[rep.algorithm] = rep.machine_count
+        fields[f"ms_{rep.algorithm}"] = None if rep.error else rep.ms
     name = instance_id if instance_id is not None else (instance.name or "instance")
-    return _record_from_reports(name, instance, reports)
+    return BenchRecord(name, instance.n, classify(instance), **fields)
 
 
 # --- proven bounds ----------------------------------------------------------
@@ -317,14 +288,7 @@ def counterexample_search(
     candidates: list[tuple[str, Instance]] = []
     for idx, plant in enumerate(plants):
         candidates.append((plant.name or f"plant-{idx}", plant))
-    for i in range(budget):
-        spec = GenSpec(
-            family=template.family,
-            n=template.n,
-            seed=(template.seed + i) % 2**64,
-            p_range=template.p_range,
-            slack_range=template.slack_range,
-        )
+    for spec in _seeded_specs(template, budget):
         instance = gen_random(spec)
         candidates.append((instance.name or "random", instance))
     best: BenchRecord | None = None
@@ -333,11 +297,10 @@ def counterexample_search(
     skipped = 0
     flagged = []
     for instance_id, instance in candidates:
-        reports = run(
-            instance, ("ff", "opt"), oracle_cap=oracle_cap, node_budget=node_budget
+        record = evaluate(
+            instance, instance_id, ("ff", "opt"), oracle_cap=oracle_cap, node_budget=node_budget
         )
-        record = _record_from_reports(instance_id, instance, reports)
-        if record.opt is None or record.opt == 0 or record.ff is None:
+        if record.ratio("ff") is None:
             skipped += 1
             continue
         evaluated += 1
@@ -351,43 +314,20 @@ def counterexample_search(
 
 # --- reports ----------------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "id",
-    "n",
-    "classes",
-    "ff",
-    "nf",
-    "cover",
-    "opt",
-    "ratio_ff",
-    "ratio_nf",
-    "ratio_cover",
-    "ms_ff",
-    "ms_nf",
-    "ms_cover",
-    "ms_opt",
-)
+# Every heuristic is compared against opt, the last algorithm.
+_RATIOED = ALGORITHMS[:-1]
+_TIMINGS = tuple(f"ms_{a}" for a in ALGORITHMS)
+REPORT_COLUMNS = ("id", "n", "classes", *ALGORITHMS, *(f"ratio_{a}" for a in _RATIOED), *_TIMINGS)
+_COUNTS_OF = attrgetter(*ALGORITHMS)
+_TIMINGS_OF = attrgetter(*_TIMINGS)
 
 
-def _row_values(record: BenchRecord) -> list:
-    def ratio(value: float | None) -> float | None:
-        return None if value is None else round(value, 6)
-
+def report_row(record: BenchRecord) -> list:
+    """The record's cells in REPORT_COLUMNS order; None marks an empty cell."""
+    ratios = [None if (r := record.ratio(a)) is None else round(r, 6) for a in _RATIOED]
     return [
-        record.instance_id,
-        record.n,
-        class_tokens(record.classes),
-        record.ff,
-        record.nf,
-        record.cover,
-        record.opt,
-        ratio(record.ratio_ff),
-        ratio(record.ratio_nf),
-        ratio(record.ratio_cover),
-        record.ms_ff,
-        record.ms_nf,
-        record.ms_cover,
-        record.ms_opt,
+        record.instance_id, record.n, class_tokens(record.classes),
+        *_COUNTS_OF(record), *ratios, *_TIMINGS_OF(record),
     ]
 
 
@@ -396,11 +336,11 @@ def emit_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
     if fmt == "csv":
         lines = [",".join(REPORT_COLUMNS)]
         for record in records:
-            cells = ["" if v is None else str(v) for v in _row_values(record)]
+            cells = ["" if v is None else str(v) for v in report_row(record)]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        rows = [dict(zip(REPORT_COLUMNS, _row_values(r))) for r in records]
+        rows = [dict(zip(REPORT_COLUMNS, report_row(r))) for r in records]
         return json.dumps(rows, indent=2) + "\n"
     raise InputError(f"unknown report format {fmt!r}")
 
@@ -417,21 +357,13 @@ def records_from_json(text: str) -> list[BenchRecord]:
     for row in rows:
         if not isinstance(row, dict):
             raise InputError("report rows must be objects")
-        records.append(
-            BenchRecord(
-                instance_id=row["id"],
-                n=row["n"],
-                classes=parse_class_tokens(row["classes"]),
-                ff=row.get("ff"),
-                nf=row.get("nf"),
-                cover=row.get("cover"),
-                opt=row.get("opt"),
-                ms_ff=row.get("ms_ff"),
-                ms_nf=row.get("ms_nf"),
-                ms_cover=row.get("ms_cover"),
-                ms_opt=row.get("ms_opt"),
-            )
-        )
+        missing = {"id", "n", "classes"} - set(row)
+        if missing:
+            raise InputError(f"report row missing keys {sorted(missing)}")
+        if not isinstance(row["classes"], str):
+            raise InputError(f"report classes must be a string, got {row['classes']!r}")
+        fields = {key: row.get(key) for key in (*ALGORITHMS, *_TIMINGS)}
+        records.append(BenchRecord(row["id"], row["n"], parse_class_tokens(row["classes"]), **fields))
     return records
 
 
@@ -462,6 +394,20 @@ def _int_pair(value: object, what: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
+def _algorithms(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
+        raise InputError(f"algorithms must be an array of names, got {value!r}")
+    unknown = set(value) - set(ALGORITHMS)
+    if unknown:
+        raise InputError(f"unknown algorithms: {sorted(unknown)}")
+    return tuple(value)
+
+
+def _seeded_specs(template: GenSpec, count: int) -> list[GenSpec]:
+    """``count`` copies of ``template`` seeded seed, seed+1, ... (mod 2**64)."""
+    return [replace(template, seed=(template.seed + i) % 2**64) for i in range(count)]
+
+
 def _expand_entry(entry: dict) -> list[tuple[str, Instance]]:
     family = entry.get("family")
     known = {
@@ -479,14 +425,16 @@ def _expand_entry(entry: dict) -> list[tuple[str, Instance]]:
     unknown = set(entry) - known
     if unknown:
         raise InputError(f"unknown sweep keys: {sorted(unknown)}")
-    if family == "nf-hard":
-        ns = _int_pair(entry["n_range"], "n_range") if "n_range" in entry else (entry["n"],) * 2
-        return [(f"nf-hard-n{n}", generate(GenSpec("nf-hard", n=n))) for n in range(ns[0], ns[1] + 1)]
-    if family == "tight-2":
-        ks = _int_pair(entry["k_range"], "k_range") if "k_range" in entry else (entry["k"],) * 2
-        return [(f"tight-2-k{k}", generate(GenSpec("tight-2", k=k))) for k in range(ks[0], ks[1] + 1)]
+    if family in ("nf-hard", "tight-2"):
+        key = "n" if family == "nf-hard" else "k"
+        if f"{key}_range" in entry:
+            lo, hi = _int_pair(entry[f"{key}_range"], f"{key}_range")
+            specs = [GenSpec(family, **{key: v}) for v in range(lo, hi + 1)]
+        else:
+            specs = [GenSpec(family, **{key: entry[key]})]
+        return [(f"{family}-{key}{getattr(s, key)}", generate(s)) for s in specs]
     count = entry.get("count", 1)
-    if not isinstance(count, int) or count < 1:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise InputError(f"count must be a positive integer, got {count!r}")
     base = GenSpec(
         family=family,
@@ -495,25 +443,15 @@ def _expand_entry(entry: dict) -> list[tuple[str, Instance]]:
         p_range=_int_pair(entry.get("p_range", (1, 10)), "p_range"),
         slack_range=_int_pair(entry.get("slack_range", (0, 10)), "slack_range"),
     )
-    out = []
-    for i in range(count):
-        spec = GenSpec(
-            family=base.family,
-            n=base.n,
-            seed=(base.seed + i) % 2**64,
-            p_range=base.p_range,
-            slack_range=base.slack_range,
-        )
-        out.append((f"{family}-n{base.n}-s{spec.seed}", gen_random(spec)))
-    return out
+    return [(f"{family}-n{s.n}-s{s.seed}", gen_random(s)) for s in _seeded_specs(base, count)]
 
 
 def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]:
     """Turn a sweep document into (id, instance, algorithms) tasks."""
     cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
-    if not isinstance(doc, dict) or "sweeps" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("sweeps"), list):
         raise InputError('sweep file needs a "sweeps" array')
-    default_algos = tuple(doc.get("algorithms", ALGORITHMS))
+    default_algos = _algorithms(doc["algorithms"]) if "algorithms" in doc else ALGORITHMS
     tasks: list[SweepTask] = []
     for entry in doc["sweeps"]:
         if not isinstance(entry, dict):
@@ -522,10 +460,7 @@ def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]
             expanded = _expand_entry(entry)
         except KeyError as exc:
             raise InputError(f"sweep entry missing key {exc}") from None
-        algos = tuple(entry.get("algorithms", default_algos))
-        unknown = set(algos) - set(ALGORITHMS)
-        if unknown:
-            raise InputError(f"unknown algorithms: {sorted(unknown)}")
+        algos = _algorithms(entry["algorithms"]) if "algorithms" in entry else default_algos
         for instance_id, instance in expanded:
             effective = tuple(a for a in algos if a != "opt" or instance.n <= cap)
             tasks.append((instance_id, instance, effective))
@@ -534,10 +469,9 @@ def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]
 
 def load_sweep(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"invalid sweep file: {exc}") from None
-    return doc
 
 
 def _evaluate_task(
@@ -560,7 +494,8 @@ def run_sweep(
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
     worker = partial(_evaluate_task, oracle_cap=oracle_cap, node_budget=node_budget)
-    if jobs == 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))

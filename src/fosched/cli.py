@@ -24,10 +24,9 @@ from .bench import (
     emit_report,
     expand_sweep,
     load_sweep,
+    report_row,
     run,
     run_sweep,
-    _record_from_reports,
-    _row_values,
     REPORT_COLUMNS,
 )
 from .core import InputError, Instance, instance_to_json, load_instance
@@ -209,9 +208,7 @@ def _cmd_hunt(args) -> int:
         "evaluated": result.evaluated,
         "skipped": result.skipped,
         "flagged": len(result.flagged),
-        "best": None
-        if result.best is None
-        else dict(zip(REPORT_COLUMNS, _row_values(result.best))),
+        "best": None if result.best is None else dict(zip(REPORT_COLUMNS, report_row(result.best))),
     }
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     for record in result.flagged:

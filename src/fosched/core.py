@@ -187,10 +187,9 @@ def is_feasible(instance: Instance, schedule: Schedule) -> bool:
 
 def loads(instance: Instance, schedule: Schedule) -> tuple[int, ...]:
     """Total processing time per machine; position i holds machine i+1."""
-    _check_coverage(instance, schedule)
     totals = [0] * schedule.machine_count
-    for job, machine in zip(instance.jobs, schedule.assignment):
-        totals[machine - 1] += job.p
+    for machine, finish in zip(schedule.assignment, completion_profile(instance, schedule)):
+        totals[machine - 1] = finish
     return tuple(totals)
 
 
@@ -234,7 +233,11 @@ def instance_from_json(text: str) -> Instance:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"invalid instance file: {exc}") from None
+    return instance_from_json(text)
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:

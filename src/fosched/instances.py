@@ -12,7 +12,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .core import MAX_TOTAL_WORK, InputError, Instance, Job
+from .core import MAX_TOTAL_WORK, InputError, Instance, Job, _require_int
 
 
 class OrderClass(enum.Flag):
@@ -141,6 +141,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
+        for what in ("n", "k", "seed"):
+            _require_int(getattr(self, what), what)
         if not 0 <= self.seed < 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n < 0:

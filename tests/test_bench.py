@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import fosched.bench as bench_module
+
 from fosched import (
     BenchRecord,
     GenSpec,
@@ -20,7 +22,6 @@ from fosched import (
     records_from_json,
     run,
     run_sweep,
-    REPORT_COLUMNS,
 )
 from helpers import NF_HARD_5, instances_st
 
@@ -72,25 +73,25 @@ class TestEvaluate:
         assert (record.n, record.ff, record.nf, record.opt) == (7, 5, 5, 3)
         assert record.cover is not None
         assert record.ms_ff is not None and record.ms_opt is not None
-        assert record.ratio_ff == 5 / 3
+        assert record.ratio("ff") == 5 / 3
 
     def test_id_falls_back_to_instance_name(self):
         assert evaluate(gen_tight2(1)).instance_id == "tight-2-k1"
 
     def test_ratios_absent_without_opt(self):
         record = evaluate(NF_HARD_5, "x", ("ff", "nf"))
-        assert record.opt is None and record.ratio_ff is None
+        assert record.opt is None and record.ratio("ff") is None
 
     def test_ratios_absent_for_empty_instance(self):
         record = evaluate(Instance(()), "empty")
-        assert record.opt == 0 and record.ratio_ff is None
+        assert record.opt == 0 and record.ratio("ff") is None
 
     @given(instances_st(max_n=8))
     @settings(max_examples=30)
     def test_ratios_at_least_one(self, instance):
         record = evaluate(instance, "r")
         if instance.n:
-            assert record.ratio_ff >= 1 and record.ratio_nf >= 1 and record.ratio_cover >= 1
+            assert all(record.ratio(a) >= 1 for a in ("ff", "nf", "cover"))
 
 
 class TestAssertBounds:
@@ -174,7 +175,10 @@ class TestCounterexampleSearch:
 
 class TestReports:
     def test_header_only_for_no_records(self):
-        assert emit_report([]) == ",".join(REPORT_COLUMNS) + "\n"
+        assert emit_report([]) == (
+            "id,n,classes,ff,nf,cover,opt,ratio_ff,ratio_nf,ratio_cover,"
+            "ms_ff,ms_nf,ms_cover,ms_opt\n"
+        )
 
     def test_csv_row_content(self):
         record = evaluate(gen_tight2(2), "t2", ("ff", "nf", "opt"))
@@ -194,6 +198,19 @@ class TestReports:
             evaluate(Instance(()), "c"),
         ]
         assert records_from_json(emit_report(records, "json")) == records
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"n": 1, "classes": "arbitrary"}]',
+            '[{"id": "a", "classes": "arbitrary"}]',
+            '[{"id": "a", "n": 1}]',
+            '[{"id": "a", "n": 1, "classes": 5}]',
+        ],
+    )
+    def test_json_rejects_malformed_rows(self, text):
+        with pytest.raises(InputError):
+            records_from_json(text)
 
     def test_unknown_format(self):
         with pytest.raises(InputError):
@@ -249,6 +266,13 @@ class TestSweeps:
             {"sweeps": [{"family": "arbitrary", "n": 3, "count": 0}]},
             {"sweeps": [{"family": "arbitrary", "n": 3, "oops": 1}]},
             {"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": ["zz"]},
+            {"sweeps": [{"family": "nf-hard", "n": "5"}]},
+            {"sweeps": [{"family": "arbitrary", "n": "5"}]},
+            {"sweeps": [{"family": "arbitrary", "n": 3, "seed": "x"}]},
+            {"sweeps": 5},
+            {"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": 5},
+            {"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": "ff"},
+            {"sweeps": [{"family": "arbitrary", "n": 3, "count": True}]},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
@@ -265,3 +289,30 @@ class TestSweeps:
 
         assert [key(r) for r in serial] == [key(r) for r in parallel]
         assert serial[0].ff == 2 and serial[0].nf == 3 and serial[0].opt == 2
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, tasks, expected",
+        [(1000, 3, 5, [3]), (4, 8, 5, [4]), (32, 64, 3, [3]), (64, None, 5, []), (32, 64, 1, [])],
+    )
+    def test_run_sweep_caps_workers(self, monkeypatch, jobs, cpus, tasks, expected):
+        sizes = []
+
+        class FakePool:  # records the pool size and runs the tasks in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench_module, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(bench_module.os, "cpu_count", lambda: cpus)
+        doc = {"algorithms": ["ff"], "sweeps": [{"family": "nf-hard", "n_range": [3, 2 + tasks]}]}
+        records = run_sweep(expand_sweep(doc), jobs=jobs)
+        assert sizes == expected
+        assert [r.ff for r in records] == [2] * tasks

@@ -68,6 +68,12 @@ class TestRun:
         bad.write_text('{"jobs": [{"p": 0, "d": 1}]}')
         assert main(["run", "--algo", "ff", "--input", str(bad)]) == 1
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"jobs": [], "name": "\xff"}')
+        assert main(["run", "--algo", "ff", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("input error: invalid instance file")
+
     def test_opt_beyond_cap_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         save_instance(Instance.from_pairs([(1, 100)] * 21), path)
@@ -155,6 +161,27 @@ class TestBench:
         sweep = tmp_path / "sweep.json"
         sweep.write_text("{")
         assert main(["bench", "--sweep", str(sweep), "--out", str(tmp_path / "r.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"sweeps": [{"family": "nf-hard", "n": 4, "seed": "\xff"}]}',
+            b'{"sweeps": [{"family": "nf-hard", "n": "5"}]}',
+            b'{"sweeps": [{"family": "arbitrary", "n": "5"}]}',
+            b'{"sweeps": [{"family": "arbitrary", "n": 3, "seed": "x"}]}',
+            b'{"sweeps": 5}',
+            b'{"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": 5}',
+            b'{"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": "ff"}',
+            b'{"sweeps": [{"family": "arbitrary", "n": 3, "count": true}]}',
+        ],
+    )
+    def test_bad_sweep_is_one_input_error_line(self, tmp_path, capsys, content):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_bytes(content)
+        assert main(["bench", "--sweep", str(sweep), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: ")
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestHunt:
