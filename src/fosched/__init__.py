@@ -39,6 +39,7 @@ from .exact import (
 from .greedy import PlacementTrace, first_fit, first_fit_traced, next_fit, next_fit_traced
 from .instances import (
     FAMILIES,
+    MAX_JOBS,
     RANDOM_FAMILIES,
     GenSpec,
     OrderClass,

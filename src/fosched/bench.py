@@ -19,11 +19,20 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .core import InputError, Instance, Schedule, is_feasible
+from .core import InputError, Instance, Schedule, _require_int, is_feasible
 from .cover import setcover_greedy
 from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, optimal
 from .greedy import first_fit, next_fit
-from .instances import GenSpec, OrderClass, class_tokens, classify, gen_random, generate, parse_class_tokens
+from .instances import (
+    MAX_JOBS,
+    GenSpec,
+    OrderClass,
+    class_tokens,
+    classify,
+    gen_random,
+    generate,
+    parse_class_tokens,
+)
 
 ALGORITHMS = ("ff", "nf", "cover", "opt")
 ORACLE_CAP_ENV = "FOSCHED_ORACLE_CAP"
@@ -362,7 +371,16 @@ def records_from_json(text: str) -> list[BenchRecord]:
             raise InputError(f"report row missing keys {sorted(missing)}")
         if not isinstance(row["classes"], str):
             raise InputError(f"report classes must be a string, got {row['classes']!r}")
+        if _require_int(row["n"], "report n") < 0:
+            raise InputError(f"report n must be >= 0, got {row['n']}")
         fields = {key: row.get(key) for key in (*ALGORITHMS, *_TIMINGS)}
+        for key in ALGORITHMS:
+            if fields[key] is not None:
+                _require_int(fields[key], f"report {key} count")
+        for key in _TIMINGS:
+            value = fields[key]
+            if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+                raise InputError(f"report {key} must be a number, got {value!r}")
         records.append(BenchRecord(row["id"], row["n"], parse_class_tokens(row["classes"]), **fields))
     return records
 
@@ -378,7 +396,8 @@ def records_from_json(text: str) -> list[BenchRecord]:
 #       "p_range": [1, 9], "slack_range": [0, 12]}]}
 # Random entries expand to `count` instances seeded seed, seed+1, ...
 # Entries may override "algorithms". "opt" is dropped automatically for
-# instances larger than the oracle cap.
+# instances larger than the oracle cap. A sweep may generate at most MAX_JOBS
+# jobs in all, checked before any instance is generated.
 
 SweepTask = tuple[str, Instance, tuple[str, ...]]
 
@@ -401,6 +420,42 @@ def _algorithms(value: object) -> tuple[str, ...]:
     if unknown:
         raise InputError(f"unknown algorithms: {sorted(unknown)}")
     return tuple(value)
+
+
+def _count(entry: dict) -> int:
+    count = entry.get("count", 1)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise InputError(f"count must be a positive integer, got {count!r}")
+    return count
+
+
+def _sum_at_least(lo: int, hi: int, floor: int) -> int:
+    """Sum of max(v, floor) over v = lo..hi, in closed form."""
+    if hi < lo:
+        return 0
+    clamped = max(0, min(hi, floor) - lo + 1)
+    first = max(lo, floor + 1)
+    rest = (first + hi) * (hi - first + 1) // 2 if hi >= first else 0
+    return clamped * floor + rest
+
+
+def _entry_jobs(entry: dict) -> int:
+    """Jobs the entry would generate, from its fields alone.
+
+    Every instance counts at least one job, so a sweep of many empty or
+    invalid instances is bounded too.
+    """
+    family = entry.get("family")
+    if family in ("nf-hard", "tight-2"):
+        key = "n" if family == "nf-hard" else "k"
+        if f"{key}_range" in entry:
+            lo, hi = _int_pair(entry[f"{key}_range"], f"{key}_range")
+        else:
+            lo = hi = _require_int(entry[key], key)
+        if family == "nf-hard":
+            return _sum_at_least(lo, hi, 1)
+        return 3 * _sum_at_least(lo, hi, 0) + max(0, hi - lo + 1)  # 3k+1 each
+    return _count(entry) * max(_require_int(entry["n"], "n"), 1)
 
 
 def _seeded_specs(template: GenSpec, count: int) -> list[GenSpec]:
@@ -433,9 +488,7 @@ def _expand_entry(entry: dict) -> list[tuple[str, Instance]]:
         else:
             specs = [GenSpec(family, **{key: entry[key]})]
         return [(f"{family}-{key}{getattr(s, key)}", generate(s)) for s in specs]
-    count = entry.get("count", 1)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise InputError(f"count must be a positive integer, got {count!r}")
+    count = _count(entry)
     base = GenSpec(
         family=family,
         n=entry["n"],
@@ -452,14 +505,18 @@ def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]
     if not isinstance(doc, dict) or not isinstance(doc.get("sweeps"), list):
         raise InputError('sweep file needs a "sweeps" array')
     default_algos = _algorithms(doc["algorithms"]) if "algorithms" in doc else ALGORITHMS
+    entries = doc["sweeps"]
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise InputError("sweep entries must be objects")
+    try:
+        jobs = sum(_entry_jobs(entry) for entry in entries)
+        if jobs > MAX_JOBS:
+            raise InputError(f"sweep would generate {jobs} jobs, above the cap of {MAX_JOBS}")
+        expansions = [_expand_entry(entry) for entry in entries]
+    except KeyError as exc:
+        raise InputError(f"sweep entry missing key {exc}") from None
     tasks: list[SweepTask] = []
-    for entry in doc["sweeps"]:
-        if not isinstance(entry, dict):
-            raise InputError("sweep entries must be objects")
-        try:
-            expanded = _expand_entry(entry)
-        except KeyError as exc:
-            raise InputError(f"sweep entry missing key {exc}") from None
+    for entry, expanded in zip(entries, expansions):
         algos = _algorithms(entry["algorithms"]) if "algorithms" in entry else default_algos
         for instance_id, instance in expanded:
             effective = tuple(a for a in algos if a != "opt" or instance.n <= cap)

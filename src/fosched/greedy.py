@@ -1,9 +1,13 @@
 """First-fit and next-fit greedy solvers over the fixed job order.
 
 Both walk the job sequence once and never revisit a placement, so running
-them on a prefix of an instance reproduces a prefix of their output. First
-fit probes every open machine in label order; next fit probes only the most
-recently opened machine.
+them on a prefix of an instance reproduces a prefix of their output. Next
+fit probes only the most recently opened machine. First fit wants the
+lowest-labeled machine that admits the job; since d >= p, "load + p <= d" is
+the same test as "load <= slack", so a min-load tournament tree over machine
+labels finds that machine in O(log m) (Johnson, JCSS 8(3), 1974). Its trace
+still reports ``tried`` as the number of fit tests a label-order scan would
+run: the chosen label, or the open-machine count when a new machine opens.
 """
 
 from __future__ import annotations
@@ -29,23 +33,45 @@ def first_fit(instance: Instance) -> Schedule:
 
 
 def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
-    loads: list[int] = []
+    jobs = instance.jobs
+    # Min-load tree over `size` leaves; leaf size + i holds machine i+1's
+    # load and unopened machines read 0. Before job j at most j < size
+    # machines are open and slack >= 0, so when no open machine admits the
+    # job the descent lands on the next fresh one.
+    size = 1
+    while size < len(jobs):
+        size *= 2
+    tree = [0] * (2 * size)  # inner node v: min of nodes 2v and 2v+1; root at 1
+    opened = 0
     assignment: list[int] = []
     trace: list[PlacementTrace] = []
-    for job in instance.jobs:
-        tried = 0
-        chosen = 0
-        for i, load in enumerate(loads):
-            tried += 1
-            if load + job.p <= job.d:
-                chosen = i + 1
-                loads[i] = load + job.p
+    for job in jobs:
+        p = job.p
+        slack = job.d - p
+        node = 1
+        while node < size:  # leftmost leaf with load <= slack
+            node *= 2
+            if tree[node] > slack:
+                node += 1
+        load = tree[node] + p
+        tree[node] = load
+        machine = node - size + 1
+        if machine > opened:
+            tried, opened = opened, machine
+        else:
+            tried = machine
+        # Loads only grow, so stop at the first ancestor whose min holds.
+        low = load
+        while node > 1:
+            sibling = tree[node ^ 1]
+            if sibling < low:
+                low = sibling
+            node >>= 1
+            if tree[node] == low:
                 break
-        if not chosen:
-            loads.append(job.p)  # fresh machine always admits: d >= p
-            chosen = len(loads)
-        assignment.append(chosen)
-        trace.append(PlacementTrace(tried, chosen, loads[chosen - 1]))
+            tree[node] = low
+        assignment.append(machine)
+        trace.append(PlacementTrace(tried, machine, load))
     return Schedule(tuple(assignment)), tuple(trace)
 
 

@@ -121,13 +121,18 @@ RANDOM_FAMILIES = (
 )
 FAMILIES = ("nf-hard", "tight-2") + RANDOM_FAMILIES
 
+# Most jobs one generated instance, or one whole sweep, may hold. Generated
+# instances live in memory together, at roughly 200 bytes per job.
+MAX_JOBS = 1_000_000
+
 
 @dataclass(frozen=True)
 class GenSpec:
     """Everything needed to regenerate an instance deterministically.
 
     ``n`` sizes the random families and nf-hard; ``k`` parameterizes
-    tight-2. Processing times are drawn uniformly from ``p_range`` and
+    tight-2, which has 3k+1 jobs. No spec may ask for more than MAX_JOBS
+    jobs. Processing times are drawn uniformly from ``p_range`` and
     deadlines are p plus a uniform draw from ``slack_range``.
     """
 
@@ -147,6 +152,9 @@ class GenSpec:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n < 0:
             raise InputError(f"n must be >= 0, got {self.n}")
+        jobs = 3 * self.k + 1 if self.family == "tight-2" else self.n
+        if jobs > MAX_JOBS:
+            raise InputError(f"{self.family} instance would hold {jobs} jobs, above the cap of {MAX_JOBS}")
         p_lo, p_hi = self.p_range
         s_lo, s_hi = self.slack_range
         if p_lo < 1 or p_hi < p_lo:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from fosched import Instance, Job, Schedule
+from fosched import Instance, Job, PlacementTrace, Schedule
 
 # Alternating-growth family at n=5: [(1,1),(2,2),(3,4),(5,7),(8,12)].
 NF_HARD_5 = Instance.from_pairs([(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)])
@@ -35,6 +35,32 @@ def assigned_st(draw, max_n: int = 8, max_p: int = 8, max_slack: int = 10):
         top = max(top, label)
         labels.append(label)
     return instance, Schedule(tuple(labels))
+
+
+def first_fit_linear_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
+    """First fit by testing every open machine in label order, O(n·m).
+
+    The oracle for the tree descent in ``greedy.first_fit_traced``: each
+    ``tried`` is the number of fit tests this scan actually runs.
+    """
+    loads: list[int] = []
+    assignment: list[int] = []
+    trace: list[PlacementTrace] = []
+    for job in instance.jobs:
+        tried = 0
+        chosen = 0
+        for i, load in enumerate(loads):
+            tried += 1
+            if load + job.p <= job.d:
+                chosen = i + 1
+                loads[i] = load + job.p
+                break
+        if not chosen:
+            loads.append(job.p)  # fresh machine always admits: d >= p
+            chosen = len(loads)
+        assignment.append(chosen)
+        trace.append(PlacementTrace(tried, chosen, loads[chosen - 1]))
+    return Schedule(tuple(assignment)), tuple(trace)
 
 
 def max_subset_exhaustive(jobs) -> int:

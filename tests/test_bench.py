@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import fosched.bench as bench_module
 
 from fosched import (
+    MAX_JOBS,
     BenchRecord,
     GenSpec,
     InputError,
@@ -206,6 +207,15 @@ class TestReports:
             '[{"id": "a", "classes": "arbitrary"}]',
             '[{"id": "a", "n": 1}]',
             '[{"id": "a", "n": 1, "classes": 5}]',
+            '[{"id": "a", "n": "x", "classes": "arbitrary", "cover": 2, "opt": 1}]',
+            '[{"id": "a", "n": true, "classes": "arbitrary"}]',
+            '[{"id": "a", "n": -1, "classes": "arbitrary"}]',
+            '[{"id": "a", "n": 1.0, "classes": "arbitrary"}]',
+            '[{"id": "a", "n": 1, "classes": "arbitrary", "ff": true}]',
+            '[{"id": "a", "n": 1, "classes": "arbitrary", "opt": 1.5}]',
+            '[{"id": "a", "n": 1, "classes": "arbitrary", "nf": "2"}]',
+            '[{"id": "a", "n": 1, "classes": "arbitrary", "ms_ff": "0.1"}]',
+            '[{"id": "a", "n": 1, "classes": "arbitrary", "ms_opt": false}]',
         ],
     )
     def test_json_rejects_malformed_rows(self, text):
@@ -278,6 +288,56 @@ class TestSweeps:
     def test_rejects_malformed_documents(self, doc):
         with pytest.raises(InputError):
             expand_sweep(doc)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"family": "arbitrary", "n": 1, "count": 10**7}],
+            [{"family": "unit", "n": MAX_JOBS + 1}],
+            [{"family": "arbitrary", "n": 0, "count": 10**7}],  # empty instances count one job each
+            [{"family": "tight-2", "k_range": [1, 10**9]}],
+            [{"family": "tight-2", "k_range": [-(10**9), 1]}],
+            [{"family": "tight-2", "k": 10**9}],
+            [{"family": "nf-hard", "n_range": [3, 10**6]}],
+            [{"family": "nf-hard", "n": 10**12}],
+            [{"family": "slack-noninc", "n": 500_000, "count": 2}, {"family": "nf-hard", "n": 3}],
+        ],
+    )
+    def test_job_cap_is_checked_before_generating(self, monkeypatch, entries):
+        def refuse(*args):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(bench_module, "generate", refuse)
+        monkeypatch.setattr(bench_module, "gen_random", refuse)
+        with pytest.raises(InputError, match="above the cap"):
+            expand_sweep({"sweeps": entries})
+
+    def test_sweep_at_the_job_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(bench_module, "gen_random", lambda spec: Instance(()))
+        doc = {"algorithms": ["ff"], "sweeps": [{"family": "arbitrary", "n": 100_000, "count": 10}]}
+        assert len(expand_sweep(doc)) == 10
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"family": "nf-hard", "n_range": [3, 9]},
+            {"family": "nf-hard", "n": 7},
+            {"family": "tight-2", "k_range": [1, 6]},
+            {"family": "tight-2", "k": 4},
+            {"family": "arbitrary", "n": 5, "count": 3},
+            {"family": "unit", "n": 0, "count": 2},
+        ],
+    )
+    def test_job_count_matches_the_generated_sweep(self, entry):
+        generated = sum(max(t[1].n, 1) for t in expand_sweep({"sweeps": [entry]}))
+        assert bench_module._entry_jobs(entry) == generated
+
+    def test_closed_form_range_sum(self):
+        for lo in range(-5, 9):
+            for hi in range(-6, 10):
+                for floor in (0, 1):
+                    expected = sum(max(v, floor) for v in range(lo, hi + 1))
+                    assert bench_module._sum_at_least(lo, hi, floor) == expected
 
     def test_run_sweep_matches_serial_and_parallel(self):
         tasks = expand_sweep(SWEEP_DOC)

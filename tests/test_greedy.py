@@ -6,13 +6,14 @@ from fosched import (
     Instance,
     first_fit,
     first_fit_traced,
+    gen_nf_hard,
     gen_tight2,
     is_feasible,
     loads,
     next_fit,
     next_fit_traced,
 )
-from helpers import NF_HARD_5, instances_st
+from helpers import NF_HARD_5, first_fit_linear_traced, instances_st
 
 
 class TestFirstFitExamples:
@@ -67,6 +68,32 @@ class TestTraces:
                 assert step.machine <= open_machines + 1
                 assert step.tried <= max(open_machines, 1)
                 open_machines = max(open_machines, step.machine)
+
+
+class TestTreeMatchesLinearScan:
+    """The tree descent gives the label-order scan's schedule and trace."""
+
+    @given(instances_st(max_n=80, max_p=10, max_slack=80))
+    def test_random_instances(self, instance):
+        assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_every_size_across_power_of_two_boundaries(self, n):
+        # mixed slacks open about n/2 machines; zero slacks open all n leaves
+        mixed = [(1 + i % 7, 1 + i % 7 + (i * 37) % 11 * (i % 3)) for i in range(n)]
+        for pairs in (mixed, [(1 + i % 7, 1 + i % 7) for i in range(n)]):
+            instance = Instance.from_pairs(pairs)
+            assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+
+    @pytest.mark.parametrize("n", range(3, 60))
+    def test_nf_hard(self, n):
+        instance = gen_nf_hard(n)
+        assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_tight2(self, k):
+        instance = gen_tight2(k)
+        assert first_fit_traced(instance) == first_fit_linear_traced(instance)
 
 
 @given(instances_st())

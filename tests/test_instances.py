@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from fosched import (
+    MAX_JOBS,
     MAX_TOTAL_WORK,
     GenSpec,
     InputError,
@@ -115,6 +116,25 @@ class TestGenSpec:
             GenSpec("arbitrary", p_range=(0, 5))
         with pytest.raises(InputError):
             GenSpec("arbitrary", slack_range=(3, 1))
+
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [
+            ("arbitrary", 10**12, 0),
+            ("unit", MAX_JOBS + 1, 0),
+            ("nf-hard", MAX_JOBS + 1, 0),
+            ("tight-2", 0, 10**9),
+            ("tight-2", 0, (MAX_JOBS - 1) // 3 + 1),  # the smallest k past the cap
+        ],
+    )
+    def test_rejects_instances_above_the_job_cap(self, family, n, k):
+        with pytest.raises(InputError, match="above the cap"):
+            GenSpec(family, n=n, k=k)
+
+    def test_accepts_instances_at_the_job_cap(self):
+        # the spec alone generates nothing
+        GenSpec("arbitrary", n=MAX_JOBS)
+        GenSpec("tight-2", k=(MAX_JOBS - 1) // 3)
 
     def test_generate_dispatch(self):
         assert generate(GenSpec("nf-hard", n=4)) == gen_nf_hard(4)
