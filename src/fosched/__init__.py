@@ -25,17 +25,8 @@ from .core import (
     schedule_from_json,
     schedule_to_json,
 )
-from .cover import DpTable, INFEASIBLE, build_table, max_feasible_subset, setcover_greedy
-from .exact import (
-    BRUTEFORCE_CAP,
-    DEFAULT_ORACLE_CAP,
-    CapacityError,
-    SearchBudgetError,
-    feasible_with,
-    lower_bound,
-    optimal,
-    optimal_count_bruteforce,
-)
+from .cover import build_table, max_feasible_subset, setcover_greedy
+from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, lower_bound, optimal
 from .greedy import PlacementTrace, first_fit, first_fit_traced, next_fit, next_fit_traced
 from .instances import (
     FAMILIES,

@@ -15,9 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule, _require_int, is_feasible
 from .cover import setcover_greedy
@@ -294,12 +295,12 @@ def counterexample_search(
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    candidates: list[tuple[str, Instance]] = []
-    for idx, plant in enumerate(plants):
-        candidates.append((plant.name or f"plant-{idx}", plant))
-    for spec in _seeded_specs(template, budget):
-        instance = gen_random(spec)
-        candidates.append((instance.name or "random", instance))
+    # Lazily, so only the instance under evaluation is held in memory.
+    drawn = map(gen_random, _seeded_specs(template, budget))
+    candidates = chain(
+        ((plant.name or f"plant-{idx}", plant) for idx, plant in enumerate(plants)),
+        ((instance.name or "random", instance) for instance in drawn),
+    )
     best: BenchRecord | None = None
     best_ratio = Fraction(0)
     evaluated = 0
@@ -458,9 +459,9 @@ def _entry_jobs(entry: dict) -> int:
     return _count(entry) * max(_require_int(entry["n"], "n"), 1)
 
 
-def _seeded_specs(template: GenSpec, count: int) -> list[GenSpec]:
-    """``count`` copies of ``template`` seeded seed, seed+1, ... (mod 2**64)."""
-    return [replace(template, seed=(template.seed + i) % 2**64) for i in range(count)]
+def _seeded_specs(template: GenSpec, count: int) -> Iterator[GenSpec]:
+    """``count`` copies of ``template`` seeded seed, seed+1, ... (mod 2**64), lazily."""
+    return (replace(template, seed=(template.seed + i) % 2**64) for i in range(count))
 
 
 def _expand_entry(entry: dict) -> list[tuple[str, Instance]]:

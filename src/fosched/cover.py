@@ -1,92 +1,65 @@
 """Set-cover style solver.
 
 Each round schedules the largest deadline-feasible subsequence of the still
-unscheduled jobs on a fresh machine. That subsequence is found by a dynamic
-program over minimum completion times: table[i][k] is the smallest finishing
-time of any feasible k-subset of the first i remaining jobs, or INFEASIBLE
-when no such subset exists.
+unscheduled jobs on a fresh machine. That subsequence comes from the
+Lawler–Moore dynamic program for a fixed sequence: ``best[k]`` is the least
+completion time of a feasible k-subset of the jobs seen so far, and each job
+improves it in place. ``best`` is strictly increasing, so it only holds the
+feasible sizes, and bitmasks of the improved sizes replay the choices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Sequence
 
-from .core import InputError, Instance, Job, Schedule
-
-# Never equal to a reachable completion sum, and ordered above every one.
-INFEASIBLE = float("inf")
+from .core import Instance, Job, Schedule
 
 
-@dataclass(frozen=True)
-class DpTable:
-    """Minimum completion times over prefix subsets of a job sequence.
+def build_table(jobs: Sequence[Job]) -> tuple[list[int], list[int]]:
+    """Least completion times by subset size, and what each job improved.
 
-    ``rows[i][k]`` is the least completion time of a feasible k-subset of
-    jobs[0:i] run back to back on one machine, INFEASIBLE when none exists.
-    Row 0 is the empty prefix. Rows are rectangular (k ranges 0..n).
+    Returns ``(best, marks)``. ``best[k]`` is the least completion time of a
+    feasible k-subset of all the jobs, run back to back on one machine, so
+    ``len(best) - 1`` is the largest feasible size. Bit k of ``marks[i]`` is
+    set when job i strictly lowered ``best[k]``, i.e. the best k-subset of
+    jobs[0:i+1] ends with job i. A job ends a k-subset only when
+    ``best[k-1] + p <= d``, which bisect finds; k runs downward so each
+    update still reads the previous job's ``best[k-1]``.
     """
-
-    jobs: tuple[Job, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-    def k_max(self) -> int:
-        """Largest subset size feasible on one machine."""
-        last = self.rows[-1]
-        for k in range(len(self.jobs), -1, -1):
-            if last[k] != INFEASIBLE:
-                return k
-        return 0
-
-    def subset(self, size: int | None = None) -> list[int]:
-        """0-based positions of a feasible subset of the given size.
-
-        Defaults to a maximum subset. On ties the walk prefers leaving a job
-        out, so the returned positions are the latest-index choice among
-        minimum-completion subsets. Raises InputError for infeasible sizes.
-        """
-        k = self.k_max() if size is None else size
-        i = len(self.jobs)
-        if not 0 <= k <= i or self.rows[i][k] == INFEASIBLE:
-            raise InputError(f"no feasible subset of size {size}")
-        picks: list[int] = []
-        while k > 0:
-            if self.rows[i][k] == self.rows[i - 1][k]:
-                i -= 1
-            else:
-                picks.append(i - 1)
-                i -= 1
-                k -= 1
-        picks.reverse()
-        return picks
-
-
-def build_table(jobs: Sequence[Job]) -> DpTable:
-    """Dynamic program over one machine: extend with each job in order.
-
-    A k-subset through job i either skips it (value carries over) or ends
-    with it, which is admissible only when the completion still meets d_i.
-    """
-    n = len(jobs)
-    rows: list[list[float]] = [[0] + [INFEASIBLE] * n]
+    best = [0]
+    marks = []
     for job in jobs:
-        prev = rows[-1]
-        row = prev.copy()
-        for k in range(1, len(rows) + 1):
-            ending_here = prev[k - 1] + job.p
-            if ending_here <= job.d and ending_here < row[k]:
-                row[k] = ending_here
-        rows.append(row)
-    return DpTable(tuple(jobs), tuple(tuple(r) for r in rows))
+        mark = 0
+        for k in range(bisect_right(best, job.d - job.p), 0, -1):
+            ending_here = best[k - 1] + job.p
+            if k == len(best):
+                best.append(ending_here)
+            elif ending_here < best[k]:
+                best[k] = ending_here
+            else:
+                continue
+            mark |= 1 << k
+        marks.append(mark)
+    return best, marks
 
 
 def max_feasible_subset(jobs: Sequence[Job]) -> tuple[int, list[int]]:
-    """Size and 0-based positions of a largest single-machine subset."""
-    if not jobs:
-        return 0, []
-    table = build_table(jobs)
-    k = table.k_max()
-    return k, table.subset(k)
+    """Size and 0-based positions of a largest single-machine subset.
+
+    Walks back from the last job, taking a job only when it ended the best
+    subset of the remaining size, so ties leave jobs out and the picks are
+    the latest-index choice among minimum-completion subsets.
+    """
+    best, marks = build_table(jobs)
+    k = len(best) - 1
+    picks: list[int] = []
+    for i in range(len(jobs) - 1, -1, -1):
+        if marks[i] >> k & 1:
+            picks.append(i)
+            k -= 1
+    picks.reverse()
+    return len(picks), picks
 
 
 def setcover_greedy(instance: Instance) -> Schedule:

@@ -1,23 +1,17 @@
-"""Exact minimum-machine solvers.
+"""Exact minimum-machine solver.
 
 ``optimal`` runs an iterative-deepening depth-first search: it tries machine
 budgets upward from a provable lower bound until a feasible assignment
-exists, so the first success is optimal. ``optimal_count_bruteforce`` answers
-the same question by direct enumeration of all assignments up to machine
-relabeling (restricted-growth sequences) and exists purely to cross-check the
-search; the two share no search code.
-
-Both are deliberately capped: the search at n <= 20 by default (override via
-the ``limit`` argument) and the enumeration at n <= 12.
+exists, so the first success is optimal. It is deliberately capped at
+n <= 20 by default (override via the ``limit`` argument).
 """
 
 from __future__ import annotations
 
-from .core import InputError, Instance, Schedule, is_feasible
+from .core import InputError, Instance, Schedule
 from .greedy import first_fit
 
 DEFAULT_ORACLE_CAP = 20
-BRUTEFORCE_CAP = 12
 
 
 class CapacityError(InputError):
@@ -120,23 +114,7 @@ def _search(
         failed.add(key)
         return False
 
-    if machine_limit >= 1 and dfs(0):
-        return assignment
-    return None
-
-
-def feasible_with(
-    instance: Instance, machine_limit: int, *, node_budget: int | None = None
-) -> Schedule | None:
-    """A feasible schedule on at most ``machine_limit`` machines, or None."""
-    if machine_limit < 0:
-        raise InputError(f"machine limit must be >= 0, got {machine_limit}")
-    if instance.n == 0:
-        return Schedule(())
-    p = [job.p for job in instance.jobs]
-    d = [job.d for job in instance.jobs]
-    found = _search(p, d, machine_limit, _Budget(node_budget))
-    return None if found is None else Schedule(tuple(found))
+    return assignment if dfs(0) else None
 
 
 def optimal(
@@ -169,53 +147,3 @@ def optimal(
     except SearchBudgetError as exc:
         raise SearchBudgetError(str(exc), upper_bound=seed.machine_count) from None
     return seed
-
-
-def optimal_count_bruteforce(instance: Instance) -> int:
-    """Minimum machine count by exhaustive enumeration; cross-check oracle.
-
-    Walks every restricted-growth assignment (machine labels in first-use
-    order, so relabelings are never visited twice), abandoning a prefix as
-    soon as a placement misses its deadline or already uses as many machines
-    as the best complete assignment found.
-    """
-    n = instance.n
-    if n > BRUTEFORCE_CAP:
-        raise CapacityError(
-            f"instance has {n} jobs, brute-force cap is {BRUTEFORCE_CAP}"
-        )
-    if n == 0:
-        return 0
-    p = [job.p for job in instance.jobs]
-    d = [job.d for job in instance.jobs]
-    best = n  # one machine per job is always feasible
-    best_assignment = list(range(1, n + 1))
-    loads: list[int] = []
-    prefix: list[int] = []
-
-    def walk(j: int) -> None:
-        nonlocal best, best_assignment
-        if len(loads) >= best:
-            return
-        if j == n:
-            best = len(loads)
-            best_assignment = prefix.copy()
-            return
-        pj, dj = p[j], d[j]
-        for i in range(len(loads)):
-            if loads[i] + pj <= dj:
-                loads[i] += pj
-                prefix.append(i + 1)
-                walk(j + 1)
-                loads[i] -= pj
-                prefix.pop()
-        loads.append(pj)
-        prefix.append(len(loads))
-        walk(j + 1)
-        loads.pop()
-        prefix.pop()
-
-    walk(0)
-    if not is_feasible(instance, Schedule(tuple(best_assignment))):
-        raise RuntimeError("enumeration produced an infeasible witness")
-    return best

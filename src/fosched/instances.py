@@ -74,6 +74,18 @@ def classify(instance: Instance) -> OrderClass:
     return flags
 
 
+# Most jobs one generated instance, or one whole sweep, may hold. Generated
+# instances live in memory together, at roughly 200 bytes per job.
+MAX_JOBS = 1_000_000
+
+
+def _require_within_cap(family: str, n: int = 0, k: int = 0) -> None:
+    """Reject a family instance above MAX_JOBS jobs (tight-2 holds 3k+1)."""
+    jobs = 3 * k + 1 if family == "tight-2" else n
+    if jobs > MAX_JOBS:
+        raise InputError(f"{family} instance would hold {jobs} jobs, above the cap of {MAX_JOBS}")
+
+
 def gen_nf_hard(n: int) -> Instance:
     """Growth family that ruins next fit: it opens one machine per job while
     alternating the jobs over two machines is always feasible.
@@ -100,10 +112,12 @@ def gen_tight2(k: int) -> Instance:
 
     k interleaved pairs of a long job (k, 2k) and a filler (1, k+1) bait
     first fit into filling k machines to exactly k+1, after which each of
-    the k+1 closing jobs (k+1, 2k+1) needs a fresh machine. n = 3k+1.
+    the k+1 closing jobs (k+1, 2k+1) needs a fresh machine. n = 3k+1, which
+    may not exceed MAX_JOBS.
     """
     if k < 1:
         raise InputError(f"family needs k >= 1, got {k}")
+    _require_within_cap("tight-2", k=k)
     jobs: list[Job] = []
     for _ in range(k):
         jobs.append(Job(k, 2 * k))
@@ -120,11 +134,6 @@ RANDOM_FAMILIES = (
     "arbitrary",
 )
 FAMILIES = ("nf-hard", "tight-2") + RANDOM_FAMILIES
-
-# Most jobs one generated instance, or one whole sweep, may hold. Generated
-# instances live in memory together, at roughly 200 bytes per job.
-MAX_JOBS = 1_000_000
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -152,9 +161,7 @@ class GenSpec:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n < 0:
             raise InputError(f"n must be >= 0, got {self.n}")
-        jobs = 3 * self.k + 1 if self.family == "tight-2" else self.n
-        if jobs > MAX_JOBS:
-            raise InputError(f"{self.family} instance would hold {jobs} jobs, above the cap of {MAX_JOBS}")
+        _require_within_cap(self.family, self.n, self.k)
         p_lo, p_hi = self.p_range
         s_lo, s_hi = self.slack_range
         if p_lo < 1 or p_hi < p_lo:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import hypothesis.strategies as st
 
-from fosched import Instance, Job, PlacementTrace, Schedule
+from fosched import CapacityError, Instance, Job, PlacementTrace, Schedule, is_feasible
 
 # Alternating-growth family at n=5: [(1,1),(2,2),(3,4),(5,7),(8,12)].
 NF_HARD_5 = Instance.from_pairs([(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)])
@@ -81,3 +83,98 @@ def max_subset_exhaustive(jobs) -> int:
         return best
 
     return walk(0, 0)
+
+
+def subset_dp_rows(jobs) -> list[list[float]]:
+    """The full minimum-completion matrix over prefixes; inf marks infeasible.
+
+    ``rows[i][k]`` is the least completion time of a feasible k-subset of
+    jobs[0:i] run back to back on one machine. Row 0 is the empty prefix and
+    every row has n+1 cells. The oracle for ``cover.build_table``.
+    """
+    n = len(jobs)
+    rows = [[0] + [math.inf] * n]
+    for job in jobs:
+        prev = rows[-1]
+        row = prev.copy()
+        for k in range(1, len(rows) + 1):
+            ending_here = prev[k - 1] + job.p
+            if ending_here <= job.d and ending_here < row[k]:
+                row[k] = ending_here
+        rows.append(row)
+    return rows
+
+
+def max_feasible_subset_table(jobs) -> tuple[int, list[int]]:
+    """``cover.max_feasible_subset`` by walking the full matrix.
+
+    Takes the largest finite size in the last row, then walks up: where a
+    cell equals the one above, the job is left out, so ties keep the
+    latest-index choice among minimum-completion subsets.
+    """
+    rows = subset_dp_rows(jobs)
+    i = len(jobs)
+    k = max(size for size, value in enumerate(rows[i]) if value != math.inf)
+    size = k
+    picks: list[int] = []
+    while k > 0:
+        if rows[i][k] != rows[i - 1][k]:
+            picks.append(i - 1)
+            k -= 1
+        i -= 1
+    picks.reverse()
+    return size, picks
+
+
+BRUTEFORCE_CAP = 12
+
+
+def optimal_count_bruteforce(instance: Instance) -> int:
+    """Minimum machine count by exhaustive enumeration; cross-check oracle.
+
+    Shares no code with ``exact.optimal``. Walks every restricted-growth
+    assignment (machine labels in first-use order, so relabelings are never
+    visited twice), abandoning a prefix as soon as a placement misses its
+    deadline or already uses as many machines as the best complete
+    assignment found. Capped at n <= BRUTEFORCE_CAP.
+    """
+    n = instance.n
+    if n > BRUTEFORCE_CAP:
+        raise CapacityError(
+            f"instance has {n} jobs, brute-force cap is {BRUTEFORCE_CAP}"
+        )
+    if n == 0:
+        return 0
+    p = [job.p for job in instance.jobs]
+    d = [job.d for job in instance.jobs]
+    best = n  # one machine per job is always feasible
+    best_assignment = list(range(1, n + 1))
+    loads: list[int] = []
+    prefix: list[int] = []
+
+    def walk(j: int) -> None:
+        nonlocal best, best_assignment
+        if len(loads) >= best:
+            return
+        if j == n:
+            best = len(loads)
+            best_assignment = prefix.copy()
+            return
+        pj, dj = p[j], d[j]
+        for i in range(len(loads)):
+            if loads[i] + pj <= dj:
+                loads[i] += pj
+                prefix.append(i + 1)
+                walk(j + 1)
+                loads[i] -= pj
+                prefix.pop()
+        loads.append(pj)
+        prefix.append(len(loads))
+        walk(j + 1)
+        loads.pop()
+        prefix.pop()
+
+    walk(0)
+    if not is_feasible(instance, Schedule(tuple(best_assignment))):
+        raise RuntimeError("enumeration produced an infeasible witness")
+    return best

@@ -22,11 +22,10 @@ from fosched import (
     max_feasible_subset,
     next_fit,
     optimal,
-    optimal_count_bruteforce,
     setcover_greedy,
 )
 from fosched.cli import main as cli_main
-from helpers import max_subset_exhaustive
+from helpers import max_subset_exhaustive, optimal_count_bruteforce
 
 
 def _check(num: int, desc: str, failures: list, elapsed: float, budget: float) -> None:

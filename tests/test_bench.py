@@ -167,6 +167,30 @@ class TestCounterexampleSearch:
         assert (a.best.ff, a.best.opt) == (b.best.ff, b.best.opt)
         assert a.flagged == () and Fraction(a.best.ff, a.best.opt) < 2
 
+    def test_generates_and_evaluates_one_instance_at_a_time(self, monkeypatch):
+        events = []
+        real_gen, real_evaluate = bench_module.gen_random, bench_module.evaluate
+
+        def gen_random(spec):
+            events.append(("gen", spec.seed))
+            return real_gen(spec)
+
+        def evaluate(instance, instance_id, *args, **kwargs):
+            events.append(("evaluate", instance_id))
+            return real_evaluate(instance, instance_id, *args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "gen_random", gen_random)
+        monkeypatch.setattr(bench_module, "evaluate", evaluate)
+        plant = Instance.from_pairs([(1, 10)] * 3, name="loose")
+        result = counterexample_search(3, self.TEMPLATE, plants=(plant,))
+        assert events == [
+            ("evaluate", "loose"),
+            ("gen", 31337), ("evaluate", "arbitrary-n6-s31337"),
+            ("gen", 31338), ("evaluate", "arbitrary-n6-s31338"),
+            ("gen", 31339), ("evaluate", "arbitrary-n6-s31339"),
+        ]
+        assert result.evaluated == 4
+
     def test_budget_failures_are_skipped_and_counted(self):
         result = counterexample_search(
             0, self.TEMPLATE, plants=(gen_tight2(2),), node_budget=1

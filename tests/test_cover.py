@@ -1,11 +1,11 @@
+import math
 import random
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 
+import fosched.cover as cover_module
 from fosched import (
-    INFEASIBLE,
-    InputError,
     Instance,
     Job,
     build_table,
@@ -15,62 +15,71 @@ from fosched import (
     optimal,
     setcover_greedy,
 )
-from helpers import NF_HARD_5, instances_st, max_subset_exhaustive
+from helpers import (
+    NF_HARD_5,
+    instances_st,
+    max_feasible_subset_table,
+    max_subset_exhaustive,
+    subset_dp_rows,
+)
 
 
 class TestDpTable:
     def test_boundaries(self):
-        table = build_table(NF_HARD_5.jobs)
-        assert table.rows[0][0] == 0
-        assert all(table.rows[0][k] == INFEASIBLE for k in range(1, 6))
-        assert all(row[0] == 0 for row in table.rows)
+        best, marks = build_table(NF_HARD_5.jobs)
+        assert best[0] == 0
+        assert len(marks) == NF_HARD_5.n
+        assert build_table(()) == ([0], [])
 
     def test_growth_family_values(self):
         # minimum completions: one job -> 1, odds {1,3} -> 4, odds {1,3,5} -> 12
-        table = build_table(NF_HARD_5.jobs)
-        assert table.rows[5][1] == 1
-        assert table.rows[5][2] == 4
-        assert table.rows[5][3] == 12
-        assert table.rows[5][4] == INFEASIBLE
+        best, marks = build_table(NF_HARD_5.jobs)
+        assert best == [0, 1, 4, 12]
+        # each odd job opens the next size; the even ones improve nothing
+        assert marks == [0b10, 0, 0b100, 0, 0b1000]
 
     @given(instances_st(max_n=10))
-    @settings(max_examples=60)
-    def test_monotone_in_both_axes(self, instance):
-        table = build_table(instance.jobs)
-        for row in table.rows:
-            assert all(a <= b for a, b in zip(row, row[1:]))
-        for upper, lower in zip(table.rows, table.rows[1:]):
-            assert all(b <= a for a, b in zip(upper, lower))
+    @settings(max_examples=80)
+    def test_best_is_strictly_increasing(self, instance):
+        best, _ = build_table(instance.jobs)
+        assert all(a < b for a, b in zip(best, best[1:]))
+
+    @given(instances_st(max_n=10))
+    @settings(max_examples=80)
+    def test_best_matches_the_oracle_last_row(self, instance):
+        best, _ = build_table(instance.jobs)
+        last = subset_dp_rows(instance.jobs)[-1]
+        assert best == last[: len(best)]
+        assert all(value == math.inf for value in last[len(best) :])
 
     @given(instances_st(max_n=9))
     @settings(max_examples=60)
-    def test_every_finite_cell_is_realizable(self, instance):
-        table = build_table(instance.jobs)
-        for i in range(len(instance.jobs) + 1):
+    def test_marks_are_the_oracle_strict_improvements(self, instance):
+        _, marks = build_table(instance.jobs)
+        rows = subset_dp_rows(instance.jobs)
+        for i, mark in enumerate(marks):
+            improved = {k for k in range(1, len(rows[0])) if rows[i + 1][k] < rows[i][k]}
+            assert {k for k in range(mark.bit_length()) if mark >> k & 1} == improved
+
+    @given(instances_st(max_n=10))
+    @settings(max_examples=80)
+    def test_longest_feasible_size_matches_exhaustive(self, instance):
+        best, _ = build_table(instance.jobs)
+        assert len(best) - 1 == max_subset_exhaustive(instance.jobs)
+
+    @given(instances_st(max_n=9))
+    @settings(max_examples=60)
+    def test_every_prefix_pick_is_realizable(self, instance):
+        for i in range(instance.n + 1):
             prefix = instance.jobs[:i]
-            prefix_table = build_table(prefix)
-            for k in range(i + 1):
-                value = table.rows[i][k]
-                assert value == prefix_table.rows[i][k]
-                if value == INFEASIBLE:
-                    continue
-                picks = prefix_table.subset(k)
-                assert len(picks) == k
-                completion = 0
-                for idx in picks:
-                    completion += prefix[idx].p
-                    assert completion <= prefix[idx].d
-                assert completion == value
-
-    def test_subset_of_infeasible_size_raises(self):
-        table = build_table(NF_HARD_5.jobs)
-        with pytest.raises(InputError):
-            table.subset(4)
-        with pytest.raises(InputError):
-            table.subset(-1)
-
-    def test_subset_zero_is_empty(self):
-        assert build_table(NF_HARD_5.jobs).subset(0) == []
+            best, _ = build_table(prefix)
+            k, picks = max_feasible_subset(prefix)
+            assert len(picks) == k == len(best) - 1
+            completion = 0
+            for idx in picks:
+                completion += prefix[idx].p
+                assert completion <= prefix[idx].d
+            assert completion == best[k]
 
 
 class TestMaxFeasibleSubset:
@@ -106,6 +115,22 @@ class TestMaxFeasibleSubset:
             k, _ = max_feasible_subset(inst.jobs)
             assert k == max_subset_exhaustive(inst.jobs)
 
+    @given(instances_st(max_n=14, max_slack=20))
+    @settings(max_examples=200)
+    def test_picks_match_the_table_walk(self, instance):
+        assert max_feasible_subset(instance.jobs) == max_feasible_subset_table(instance.jobs)
+
+    def test_picks_match_the_table_walk_seeded(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            pairs = []
+            for _ in range(n):
+                p = rng.randint(1, rng.choice((1, 3, 9)))
+                pairs.append((p, p + rng.randint(0, rng.choice((0, 2, 10, 60)))))
+            jobs = Instance.from_pairs(pairs).jobs
+            assert max_feasible_subset(jobs) == max_feasible_subset_table(jobs), pairs
+
 
 class TestSetCoverGreedy:
     def test_growth_family_covers_in_two_rounds(self):
@@ -117,6 +142,13 @@ class TestSetCoverGreedy:
 
     def test_empty(self):
         assert setcover_greedy(Instance(())).machine_count == 0
+
+    @given(instances_st(max_n=14, max_slack=20))
+    @settings(max_examples=100)
+    def test_matches_a_table_driven_cover(self, instance):
+        schedule = setcover_greedy(instance)
+        with mock.patch.object(cover_module, "max_feasible_subset", max_feasible_subset_table):
+            assert setcover_greedy(instance) == schedule
 
     def test_tight2_k1_uses_three_machines(self):
         # The maximum first pick is the two leading unit-slack jobs, which

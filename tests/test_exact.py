@@ -7,7 +7,7 @@ from fosched import (
     CapacityError,
     Instance,
     SearchBudgetError,
-    feasible_with,
+    Schedule,
     first_fit,
     gen_nf_hard,
     gen_tight2,
@@ -15,9 +15,17 @@ from fosched import (
     lower_bound,
     next_fit,
     optimal,
-    optimal_count_bruteforce,
 )
-from helpers import NF_HARD_5, instances_st
+from fosched.exact import _Budget, _search
+from helpers import NF_HARD_5, instances_st, optimal_count_bruteforce
+
+
+def _search_with(instance: Instance, machine_limit: int, node_budget: int | None = None):
+    """One deepening level of the exact search, as a schedule or None."""
+    p = [job.p for job in instance.jobs]
+    d = [job.d for job in instance.jobs]
+    found = _search(p, d, machine_limit, _Budget(node_budget))
+    return None if found is None else Schedule(tuple(found))
 
 
 def _random_instance(rng: random.Random, n: int, max_p=8, max_slack=10) -> Instance:
@@ -103,18 +111,18 @@ class TestDeepeningSoundness:
     def test_one_machine_below_optimum_is_infeasible(self):
         for inst in (NF_HARD_5, gen_tight2(2), Instance.from_pairs([(1, 1)] * 3)):
             best = optimal(inst).machine_count
-            assert feasible_with(inst, best) is not None
-            assert feasible_with(inst, best - 1) is None
+            assert _search_with(inst, best) is not None
+            assert _search_with(inst, best - 1) is None
 
     def test_extra_machines_stay_feasible(self):
         inst = gen_tight2(2)
         for m in range(3, 8):
-            found = feasible_with(inst, m)
+            found = _search_with(inst, m)
             assert found is not None and is_feasible(inst, found)
 
     def test_zero_machines(self):
-        assert feasible_with(Instance(()), 0) is not None
-        assert feasible_with(NF_HARD_5, 0) is None
+        assert _search_with(Instance(()), 0) == Schedule(())
+        assert _search_with(NF_HARD_5, 0) is None
 
 
 class TestCapsAndBudgets:
@@ -137,9 +145,9 @@ class TestCapsAndBudgets:
             optimal(inst, node_budget=1)
         assert exc.value.upper_bound == 5
 
-    def test_feasible_with_budget(self):
+    def test_search_level_budget(self):
         with pytest.raises(SearchBudgetError) as exc:
-            feasible_with(gen_tight2(2), 3, node_budget=1)
+            _search_with(gen_tight2(2), 3, node_budget=1)
         assert exc.value.upper_bound is None
 
     def test_generous_budget_succeeds(self):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+import fosched.instances as instances_module
 from fosched import (
     MAX_JOBS,
     MAX_TOTAL_WORK,
@@ -58,6 +59,17 @@ class TestTight2Family:
     def test_rejects_k_zero(self):
         with pytest.raises(InputError):
             gen_tight2(0)
+
+    @pytest.mark.parametrize("k", [(MAX_JOBS - 1) // 3 + 1, 10**8])
+    def test_rejects_k_above_the_job_cap_before_building(self, monkeypatch, k):
+        assert k >= 333_334
+
+        def refuse(*args):
+            raise AssertionError("built a job")
+
+        monkeypatch.setattr(instances_module, "Job", refuse)
+        with pytest.raises(InputError, match="above the cap"):
+            gen_tight2(k)
 
     def test_all_slacks_equal(self):
         flags = classify(gen_tight2(3))
