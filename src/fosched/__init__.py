@@ -27,7 +27,7 @@ from .core import (
 )
 from .cover import build_table, max_feasible_subset, setcover_greedy
 from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, lower_bound, optimal
-from .greedy import PlacementTrace, first_fit, first_fit_traced, next_fit, next_fit_traced
+from .greedy import PlacementTrace, first_fit, first_fit_traced, next_fit, placement_trace
 from .instances import (
     FAMILIES,
     MAX_JOBS,

@@ -292,11 +292,15 @@ def counterexample_search(
     Instance i uses seed template.seed + i. Ratios compare exactly as
     rationals. Records at or above ``threshold`` are returned in ``flagged``;
     exact-solver budget failures skip the instance and bump ``skipped``.
+    Seeded instances above the oracle cap could get no ratio, so they are
+    counted as skipped without being generated.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
+    cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
+    skipped = budget if template.n > cap else 0
     # Lazily, so only the instance under evaluation is held in memory.
-    drawn = map(gen_random, _seeded_specs(template, budget))
+    drawn = map(gen_random, _seeded_specs(template, budget - skipped))
     candidates = chain(
         ((plant.name or f"plant-{idx}", plant) for idx, plant in enumerate(plants)),
         ((instance.name or "random", instance) for instance in drawn),
@@ -304,7 +308,6 @@ def counterexample_search(
     best: BenchRecord | None = None
     best_ratio = Fraction(0)
     evaluated = 0
-    skipped = 0
     flagged = []
     for instance_id, instance in candidates:
         record = evaluate(
@@ -440,8 +443,19 @@ def _sum_at_least(lo: int, hi: int, floor: int) -> int:
     return clamped * floor + rest
 
 
-def _entry_jobs(entry: dict) -> int:
-    """Jobs the entry would generate, from its fields alone.
+def _seeded_specs(template: GenSpec, count: int) -> Iterator[GenSpec]:
+    """``count`` copies of ``template`` seeded seed, seed+1, ... (mod 2**64), lazily."""
+    return (replace(template, seed=(template.seed + i) % 2**64) for i in range(count))
+
+
+_ENTRY_KEYS = {
+    "family", "algorithms", "n", "n_range", "k", "k_range", "count", "seed", "p_range", "slack_range",
+}
+
+
+def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, Instance]]]:
+    """The jobs the entry would generate, from its fields alone, and its
+    (id, instance) pairs, checked and generated only when iterated.
 
     Every instance counts at least one job, so a sweep of many empty or
     invalid instances is bounded too.
@@ -454,50 +468,36 @@ def _entry_jobs(entry: dict) -> int:
         else:
             lo = hi = _require_int(entry[key], key)
         if family == "nf-hard":
-            return _sum_at_least(lo, hi, 1)
-        return 3 * _sum_at_least(lo, hi, 0) + max(0, hi - lo + 1)  # 3k+1 each
-    return _count(entry) * max(_require_int(entry["n"], "n"), 1)
+            jobs = _sum_at_least(lo, hi, 1)
+        else:
+            jobs = 3 * _sum_at_least(lo, hi, 0) + max(0, hi - lo + 1)  # 3k+1 each
+
+        def pairs() -> Iterator[tuple[str, Instance]]:
+            for v in range(lo, hi + 1):
+                yield f"{family}-{key}{v}", generate(GenSpec(family, **{key: v}))
+
+    else:
+        count = _count(entry)
+        n = _require_int(entry["n"], "n")
+        jobs = count * max(n, 1)
+
+        def pairs() -> Iterator[tuple[str, Instance]]:
+            p_range = _int_pair(entry.get("p_range", (1, 10)), "p_range")
+            slack_range = _int_pair(entry.get("slack_range", (0, 10)), "slack_range")
+            seed = entry.get("seed", 0)
+            base = GenSpec(family, n=n, seed=seed, p_range=p_range, slack_range=slack_range)
+            for spec in _seeded_specs(base, count):
+                yield f"{family}-n{spec.n}-s{spec.seed}", gen_random(spec)
+
+    return jobs, _checked(entry, pairs)
 
 
-def _seeded_specs(template: GenSpec, count: int) -> Iterator[GenSpec]:
-    """``count`` copies of ``template`` seeded seed, seed+1, ... (mod 2**64), lazily."""
-    return (replace(template, seed=(template.seed + i) % 2**64) for i in range(count))
-
-
-def _expand_entry(entry: dict) -> list[tuple[str, Instance]]:
-    family = entry.get("family")
-    known = {
-        "family",
-        "algorithms",
-        "n",
-        "n_range",
-        "k",
-        "k_range",
-        "count",
-        "seed",
-        "p_range",
-        "slack_range",
-    }
-    unknown = set(entry) - known
+def _checked(entry: dict, pairs: Callable[[], Iterator]) -> Iterator[tuple[str, Instance]]:
+    """The entry's pairs; its keys are checked on the first iteration, after the job cap."""
+    unknown = set(entry) - _ENTRY_KEYS
     if unknown:
         raise InputError(f"unknown sweep keys: {sorted(unknown)}")
-    if family in ("nf-hard", "tight-2"):
-        key = "n" if family == "nf-hard" else "k"
-        if f"{key}_range" in entry:
-            lo, hi = _int_pair(entry[f"{key}_range"], f"{key}_range")
-            specs = [GenSpec(family, **{key: v}) for v in range(lo, hi + 1)]
-        else:
-            specs = [GenSpec(family, **{key: entry[key]})]
-        return [(f"{family}-{key}{getattr(s, key)}", generate(s)) for s in specs]
-    count = _count(entry)
-    base = GenSpec(
-        family=family,
-        n=entry["n"],
-        seed=entry.get("seed", 0),
-        p_range=_int_pair(entry.get("p_range", (1, 10)), "p_range"),
-        slack_range=_int_pair(entry.get("slack_range", (0, 10)), "slack_range"),
-    )
-    return [(f"{family}-n{s.n}-s{s.seed}", gen_random(s)) for s in _seeded_specs(base, count)]
+    yield from pairs()
 
 
 def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]:
@@ -510,10 +510,11 @@ def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]
     if not all(isinstance(entry, dict) for entry in entries):
         raise InputError("sweep entries must be objects")
     try:
-        jobs = sum(_entry_jobs(entry) for entry in entries)
+        parsed = [_parse_entry(entry) for entry in entries]
+        jobs = sum(entry_jobs for entry_jobs, _ in parsed)
         if jobs > MAX_JOBS:
             raise InputError(f"sweep would generate {jobs} jobs, above the cap of {MAX_JOBS}")
-        expansions = [_expand_entry(entry) for entry in entries]
+        expansions = [list(pairs) for _, pairs in parsed]
     except KeyError as exc:
         raise InputError(f"sweep entry missing key {exc}") from None
     tasks: list[SweepTask] = []

@@ -29,8 +29,9 @@ from .bench import (
     run_sweep,
     REPORT_COLUMNS,
 )
-from .core import InputError, Instance, instance_to_json, load_instance
+from .core import InputError, instance_to_json, load_instance
 from .exact import SearchBudgetError
+from .greedy import placement_trace
 from .instances import FAMILIES, GenSpec, generate
 
 EXIT_OK = 0
@@ -105,17 +106,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _trace_rows(instance: Instance, algo: str):
-    from .greedy import first_fit_traced, next_fit_traced
-
-    traced = first_fit_traced if algo == "ff" else next_fit_traced
-    _, trace = traced(instance)
-    return [
-        {"job": j + 1, "tried": t.tried, "machine": t.machine, "load_after": t.load_after}
-        for j, t in enumerate(trace)
-    ]
-
-
 def _cmd_run(args) -> int:
     instance = load_instance(args.input)
     algos = ALGORITHMS if args.algo == "all" else (args.algo,)
@@ -133,7 +123,8 @@ def _cmd_run(args) -> int:
             "error": rep.error,
         }
         if args.trace and rep.algorithm in ("ff", "nf") and not rep.error:
-            row["trace"] = _trace_rows(instance, rep.algorithm)
+            trace = placement_trace(instance, rep.schedule, rep.algorithm)  # no second solve
+            row["trace"] = [{"job": j + 1, **t._asdict()} for j, t in enumerate(trace)]
         rows.append(row)
     if args.format == "json":
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
@@ -152,12 +143,9 @@ def _cmd_run(args) -> int:
                         f"machine={step['machine']} load={step['load_after']}\n"
                     )
     for rep in reports:
-        if rep.error_kind == "budget":
+        if rep.error_kind:
             sys.stderr.write(f"error: {rep.error}\n")
-            return EXIT_BUDGET
-        if rep.error_kind == "capacity":
-            sys.stderr.write(f"error: {rep.error}\n")
-            return EXIT_INPUT
+            return EXIT_BUDGET if rep.error_kind == "budget" else EXIT_INPUT
     return EXIT_OK
 
 
@@ -173,11 +161,7 @@ def _cmd_bench(args) -> int:
     Path(args.out).write_text(emit_report(records, fmt), encoding="utf-8")
     sys.stderr.write(f"wrote {len(records)} records to {args.out}\n")
     if args.assert_bounds:
-        violations = []
-        for record in records:
-            if record.opt is None:
-                continue
-            violations.extend(assert_bounds(record))
+        violations = [v for r in records if r.opt is not None for v in assert_bounds(r)]
         for v in violations:
             sys.stderr.write(f"violation [{v.assertion}] {v.instance_id}: {v.detail}\n")
         if violations:
@@ -223,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
+            raise InputError(f"--node-budget must be >= 0, got {args.node_budget}")
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "run":

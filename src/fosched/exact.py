@@ -125,8 +125,11 @@ def optimal(
     Deterministic given the instance. ``limit`` overrides the default size
     cap; ``node_budget`` bounds total search nodes across all deepening
     levels and raises SearchBudgetError (carrying the first-fit machine
-    count as the best known upper bound) when exhausted.
+    count as the best known upper bound) when exhausted; a negative budget
+    is an InputError.
     """
+    if node_budget is not None and node_budget < 0:
+        raise InputError(f"node budget must be >= 0, got {node_budget}")
     cap = DEFAULT_ORACLE_CAP if limit is None else limit
     if instance.n > cap:
         raise CapacityError(f"instance has {instance.n} jobs, exact solver cap is {cap}")

@@ -5,16 +5,19 @@ them on a prefix of an instance reproduces a prefix of their output. Next
 fit probes only the most recently opened machine. First fit wants the
 lowest-labeled machine that admits the job; since d >= p, "load + p <= d" is
 the same test as "load <= slack", so a min-load tournament tree over machine
-labels finds that machine in O(log m) (Johnson, JCSS 8(3), 1974). Its trace
-still reports ``tried`` as the number of fit tests a label-order scan would
-run: the chosen label, or the open-machine count when a new machine opens.
+labels finds that machine in O(log m) (Johnson, JCSS 8(3), 1974).
+
+A rule's trace depends only on the instance and the schedule it produced, so
+``placement_trace`` derives it afterwards. Its ``tried`` counts the rule's
+fit tests in label order: first fit tests machines up to the chosen one, or
+every open one before opening a new one; next fit tests the last opened one.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Instance, Schedule
+from .core import InputError, Instance, Schedule, completion_profile
 
 
 class PlacementTrace(NamedTuple):
@@ -23,6 +26,26 @@ class PlacementTrace(NamedTuple):
     tried: int
     machine: int
     load_after: int
+
+
+def placement_trace(
+    instance: Instance, schedule: Schedule, algorithm: str
+) -> tuple[PlacementTrace, ...]:
+    """The trace of ``schedule``, as placed by first fit ("ff") or next fit ("nf")."""
+    if algorithm not in ("ff", "nf"):
+        raise InputError(f"placement traces exist for ff and nf, got {algorithm!r}")
+    first = algorithm == "ff"
+    opened = 0  # machines open before the job
+    trace: list[PlacementTrace] = []
+    for machine, load in zip(schedule.assignment, completion_profile(instance, schedule)):
+        if first:  # min(machine, opened) and min(opened, 1), without the calls
+            tried = machine if machine <= opened else opened
+        else:
+            tried = 1 if opened else 0
+        if machine > opened:
+            opened = machine
+        trace.append(PlacementTrace(tried, machine, load))
+    return tuple(trace)
 
 
 def first_fit(instance: Instance) -> Schedule:
@@ -42,9 +65,7 @@ def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace
     while size < len(jobs):
         size *= 2
     tree = [0] * (2 * size)  # inner node v: min of nodes 2v and 2v+1; root at 1
-    opened = 0
     assignment: list[int] = []
-    trace: list[PlacementTrace] = []
     for job in jobs:
         p = job.p
         slack = job.d - p
@@ -53,15 +74,10 @@ def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace
             node *= 2
             if tree[node] > slack:
                 node += 1
-        load = tree[node] + p
-        tree[node] = load
-        machine = node - size + 1
-        if machine > opened:
-            tried, opened = opened, machine
-        else:
-            tried = machine
+        low = tree[node] + p
+        tree[node] = low
+        assignment.append(node - size + 1)
         # Loads only grow, so stop at the first ancestor whose min holds.
-        low = load
         while node > 1:
             sibling = tree[node ^ 1]
             if sibling < low:
@@ -70,29 +86,20 @@ def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace
             if tree[node] == low:
                 break
             tree[node] = low
-        assignment.append(machine)
-        trace.append(PlacementTrace(tried, machine, load))
-    return Schedule(tuple(assignment)), tuple(trace)
+    schedule = Schedule(tuple(assignment))
+    return schedule, placement_trace(instance, schedule, "ff")
 
 
 def next_fit(instance: Instance) -> Schedule:
     """Like first fit, but only the most recently opened machine is probed."""
-    schedule, _ = next_fit_traced(instance)
-    return schedule
-
-
-def next_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
-    loads: list[int] = []
     assignment: list[int] = []
-    trace: list[PlacementTrace] = []
+    machines = 0
+    load = 0  # of machine `machines`, the last one opened
     for job in instance.jobs:
-        tried = 0
-        if loads:
-            tried = 1
-        if loads and loads[-1] + job.p <= job.d:
-            loads[-1] += job.p
+        if machines and load + job.p <= job.d:
+            load += job.p
         else:
-            loads.append(job.p)
-        assignment.append(len(loads))
-        trace.append(PlacementTrace(tried, len(loads), loads[-1]))
-    return Schedule(tuple(assignment)), tuple(trace)
+            machines += 1
+            load = job.p
+        assignment.append(machines)
+    return Schedule(tuple(assignment))

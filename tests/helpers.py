@@ -42,8 +42,9 @@ def assigned_st(draw, max_n: int = 8, max_p: int = 8, max_slack: int = 10):
 def first_fit_linear_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
     """First fit by testing every open machine in label order, O(n·m).
 
-    The oracle for the tree descent in ``greedy.first_fit_traced``: each
-    ``tried`` is the number of fit tests this scan actually runs.
+    The oracle for the tree descent in ``greedy.first_fit_traced`` and for
+    ``greedy.placement_trace(instance, schedule, "ff")``: each ``tried`` is
+    the number of fit tests this scan actually runs.
     """
     loads: list[int] = []
     assignment: list[int] = []
@@ -62,6 +63,27 @@ def first_fit_linear_traced(instance: Instance) -> tuple[Schedule, tuple[Placeme
             chosen = len(loads)
         assignment.append(chosen)
         trace.append(PlacementTrace(tried, chosen, loads[chosen - 1]))
+    return Schedule(tuple(assignment)), tuple(trace)
+
+
+def next_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
+    """Next fit with its trace built as it places jobs.
+
+    The oracle for ``greedy.placement_trace(instance, schedule, "nf")``.
+    """
+    loads: list[int] = []
+    assignment: list[int] = []
+    trace: list[PlacementTrace] = []
+    for job in instance.jobs:
+        tried = 0
+        if loads:
+            tried = 1
+        if loads and loads[-1] + job.p <= job.d:
+            loads[-1] += job.p
+        else:
+            loads.append(job.p)
+        assignment.append(len(loads))
+        trace.append(PlacementTrace(tried, len(loads), loads[-1]))
     return Schedule(tuple(assignment)), tuple(trace)
 
 

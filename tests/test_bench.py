@@ -7,9 +7,11 @@ from hypothesis import given, settings
 import fosched.bench as bench_module
 
 from fosched import (
+    DEFAULT_ORACLE_CAP,
     MAX_JOBS,
     BenchRecord,
     GenSpec,
+    HuntResult,
     InputError,
     Instance,
     OrderClass,
@@ -191,6 +193,29 @@ class TestCounterexampleSearch:
         ]
         assert result.evaluated == 4
 
+    def test_nothing_is_generated_above_the_oracle_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated or evaluated an instance")
+
+        monkeypatch.setattr(bench_module, "gen_random", refuse)
+        monkeypatch.setattr(bench_module, "evaluate", refuse)
+        template = GenSpec("arbitrary", n=DEFAULT_ORACLE_CAP + 1, seed=1)
+        assert counterexample_search(100, template) == HuntResult(None, 0, 100, ())
+
+    def test_plants_are_evaluated_above_the_oracle_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(bench_module, "gen_random", refuse)
+        plant = Instance.from_pairs([(1, 10)] * 3, name="loose")
+        result = counterexample_search(7, self.TEMPLATE, plants=(plant,), oracle_cap=5)
+        assert (result.evaluated, result.skipped) == (1, 7)
+        assert result.best.instance_id == "loose"
+
+    def test_instances_at_the_oracle_cap_are_evaluated(self):
+        result = counterexample_search(2, self.TEMPLATE, oracle_cap=self.TEMPLATE.n)
+        assert (result.evaluated, result.skipped) == (2, 0)
+
     def test_budget_failures_are_skipped_and_counted(self):
         result = counterexample_search(
             0, self.TEMPLATE, plants=(gen_tight2(2),), node_budget=1
@@ -354,7 +379,18 @@ class TestSweeps:
     )
     def test_job_count_matches_the_generated_sweep(self, entry):
         generated = sum(max(t[1].n, 1) for t in expand_sweep({"sweeps": [entry]}))
-        assert bench_module._entry_jobs(entry) == generated
+        assert bench_module._parse_entry(entry)[0] == generated
+
+    def test_parsing_an_entry_generates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(bench_module, "generate", refuse)
+        monkeypatch.setattr(bench_module, "gen_random", refuse)
+        for entry in ({"family": "tight-2", "k_range": [1, 3]}, {"family": "unit", "n": 4, "count": 2}):
+            _, pairs = bench_module._parse_entry(entry)
+            with pytest.raises(AssertionError, match="generated"):
+                next(pairs)
 
     def test_closed_form_range_sum(self):
         for lo in range(-5, 9):

@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import fosched.bench as bench_module
+import fosched.cli as cli_module
+import fosched.greedy as greedy_module
 from fosched import gen_nf_hard, gen_tight2, instance_to_json, save_instance, Instance
 from fosched.cli import main
+from helpers import first_fit_linear_traced, next_fit_traced
 
 
 @pytest.fixture()
@@ -59,6 +64,46 @@ class TestRun:
         trace = rows[0]["trace"]
         assert len(trace) == 5
         assert trace[0] == {"job": 1, "tried": 0, "machine": 1, "load_after": 1}
+
+    def test_trace_rows_come_from_the_reported_solve(self, tmp_path, capsys, monkeypatch):
+        # 21 jobs: above the oracle cap, so `all` runs no opt and no first-fit seed
+        instance = Instance.from_pairs([(1 + i % 4, 1 + i % 4 + i * 5 % 9) for i in range(21)])
+        path = tmp_path / "mixed.json"
+        save_instance(instance, path)
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(bench_module, "first_fit")
+        spy(bench_module, "next_fit")
+        spy(greedy_module, "first_fit_traced")
+        monkeypatch.delenv("FOSCHED_ORACLE_CAP", raising=False)
+        assert main(["run", "--algo", "all", "--input", str(path), "--trace"]) == 0
+        assert calls == {"first_fit": 1, "next_fit": 1, "first_fit_traced": 1}
+        rows = {row["algorithm"]: row for row in json.loads(capsys.readouterr().out)}
+        assert "trace" not in rows["cover"]
+        for algo, oracle in (("ff", first_fit_linear_traced), ("nf", next_fit_traced)):
+            schedule, trace = oracle(instance)
+            assert rows[algo]["assignment"] == list(schedule.assignment)
+            assert rows[algo]["trace"] == [
+                {"job": j + 1, "tried": t.tried, "machine": t.machine, "load_after": t.load_after}
+                for j, t in enumerate(trace)
+            ]
+
+    def test_zero_node_budget_solves_only_without_search(self, tmp_path, nf_hard_file):
+        loose = tmp_path / "loose.json"
+        save_instance(Instance.from_pairs([(1, 10)] * 3), loose)  # first fit meets the lower bound
+        assert main(["run", "--algo", "opt", "--input", str(loose), "--node-budget", "0"]) == 0
+        tight = tmp_path / "t2.json"
+        save_instance(gen_tight2(2), tight)
+        assert main(["run", "--algo", "opt", "--input", str(tight), "--node-budget", "0"]) == 3
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["run", "--algo", "ff", "--input", str(tmp_path / "nope.json")]) == 1
@@ -203,6 +248,32 @@ class TestHunt:
     def test_bad_threshold_is_input_error(self):
         argv = ["hunt", "--budget", "1", "--n", "4", "--threshold", "fast"]
         assert main(argv) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "opt", "--input", "{instance}", "--node-budget", "-5"],
+        ["run", "--algo", "all", "--input", "{instance}", "--node-budget", "-1", "--trace"],
+        ["bench", "--sweep", "{sweep}", "--out", "{out}", "--node-budget", "-1", "--assert-bounds"],
+        ["hunt", "--budget", "3", "--n", "6", "--node-budget", "-1"],
+    ],
+)
+def test_negative_node_budget_is_one_input_error_line(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work")
+
+    for name in ("load_instance", "load_sweep", "counterexample_search", "run"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    paths = {"instance": tmp_path / "i.json", "sweep": tmp_path / "s.json", "out": tmp_path / "r.csv"}
+    save_instance(gen_nf_hard(5), paths["instance"])
+    paths["sweep"].write_text(json.dumps({"sweeps": [{"family": "tight-2", "k": 2}]}))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: --node-budget must be >= 0")
+    assert not paths["out"].exists()
 
 
 def test_module_entrypoint_smoke():

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import fosched.exact as exact_module
+
 from fosched import (
     CapacityError,
+    InputError,
     Instance,
     SearchBudgetError,
     Schedule,
@@ -152,3 +155,19 @@ class TestCapsAndBudgets:
 
     def test_generous_budget_succeeds(self):
         assert optimal(gen_tight2(2), node_budget=10**6).machine_count == 3
+
+    @pytest.mark.parametrize("instance", [gen_tight2(2), Instance(())])
+    def test_negative_budget_is_input_error_before_searching(self, monkeypatch, instance):
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(exact_module, "first_fit", refuse)
+        monkeypatch.setattr(exact_module, "_search", refuse)
+        with pytest.raises(InputError, match="node budget must be >= 0"):
+            optimal(instance, node_budget=-1)
+
+    def test_zero_budget_still_solves_without_search(self):
+        loose = Instance.from_pairs([(1, 10)] * 3)  # first fit meets the lower bound
+        assert optimal(loose, node_budget=0).machine_count == 1
+        with pytest.raises(SearchBudgetError):
+            optimal(gen_tight2(2), node_budget=0)

@@ -3,7 +3,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from fosched import (
+    CoverageError,
+    InputError,
     Instance,
+    Schedule,
     first_fit,
     first_fit_traced,
     gen_nf_hard,
@@ -11,9 +14,27 @@ from fosched import (
     is_feasible,
     loads,
     next_fit,
-    next_fit_traced,
+    placement_trace,
 )
-from helpers import NF_HARD_5, first_fit_linear_traced, instances_st
+from helpers import NF_HARD_5, first_fit_linear_traced, instances_st, next_fit_traced
+
+
+def derived(instance, solver, algorithm):
+    """The solver's schedule and the trace placement_trace derives from it."""
+    schedule = solver(instance)
+    return schedule, placement_trace(instance, schedule, algorithm)
+
+
+def assert_matches_oracles(instance):
+    """Schedules and traces equal the label-order scan and the in-loop next fit."""
+    oracle = first_fit_linear_traced(instance)
+    assert first_fit_traced(instance) == oracle
+    for solver, algorithm, (schedule, trace) in (
+        (first_fit, "ff", oracle),
+        (next_fit, "nf", next_fit_traced(instance)),
+    ):
+        assert solver(instance) == schedule
+        assert placement_trace(instance, schedule, algorithm) == trace
 
 
 class TestFirstFitExamples:
@@ -58,10 +79,16 @@ class TestTraces:
         assert trace[1] == (1, 2, 2)
         assert trace[2] == (1, 1, 4)  # fits machine 1 on the first probe
 
+    def test_next_fit_trace_content(self):
+        _, trace = derived(NF_HARD_5, next_fit, "nf")
+        # job 1 opens machine 1 untested; every later job fails machine j-1
+        assert trace[0] == (0, 1, 1)
+        assert trace[1:] == tuple((1, j, p) for j, p in zip(range(2, 6), (2, 3, 5, 8)))
+
     @given(instances_st())
     def test_trace_invariants(self, instance):
-        for traced in (first_fit_traced, next_fit_traced):
-            schedule, trace = traced(instance)
+        for solver, algorithm in ((first_fit, "ff"), (next_fit, "nf")):
+            schedule, trace = derived(instance, solver, algorithm)
             open_machines = 0
             for step, label in zip(trace, schedule.assignment):
                 assert step.machine == label
@@ -71,29 +98,40 @@ class TestTraces:
 
 
 class TestTreeMatchesLinearScan:
-    """The tree descent gives the label-order scan's schedule and trace."""
+    """The tree descent gives the label-order scan's schedule and trace, and
+    placement_trace gives both oracles' traces from the schedules alone."""
 
     @given(instances_st(max_n=80, max_p=10, max_slack=80))
     def test_random_instances(self, instance):
-        assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+        assert_matches_oracles(instance)
 
     @pytest.mark.parametrize("n", range(71))
     def test_every_size_across_power_of_two_boundaries(self, n):
         # mixed slacks open about n/2 machines; zero slacks open all n leaves
         mixed = [(1 + i % 7, 1 + i % 7 + (i * 37) % 11 * (i % 3)) for i in range(n)]
         for pairs in (mixed, [(1 + i % 7, 1 + i % 7) for i in range(n)]):
-            instance = Instance.from_pairs(pairs)
-            assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+            assert_matches_oracles(Instance.from_pairs(pairs))
 
     @pytest.mark.parametrize("n", range(3, 60))
     def test_nf_hard(self, n):
-        instance = gen_nf_hard(n)
-        assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+        assert_matches_oracles(gen_nf_hard(n))
 
     @pytest.mark.parametrize("k", range(1, 31))
     def test_tight2(self, k):
-        instance = gen_tight2(k)
-        assert first_fit_traced(instance) == first_fit_linear_traced(instance)
+        assert_matches_oracles(gen_tight2(k))
+
+
+class TestPlacementTrace:
+    def test_unknown_algorithm_is_input_error(self):
+        with pytest.raises(InputError, match="ff and nf"):
+            placement_trace(NF_HARD_5, first_fit(NF_HARD_5), "cover")
+
+    def test_schedule_must_cover_the_instance(self):
+        with pytest.raises(CoverageError):
+            placement_trace(NF_HARD_5, Schedule((1, 2)), "ff")
+
+    def test_empty(self):
+        assert placement_trace(Instance(()), Schedule(()), "nf") == ()
 
 
 @given(instances_st())
