@@ -26,7 +26,14 @@ from .core import (
     schedule_to_json,
 )
 from .cover import build_table, max_feasible_subset, setcover_greedy
-from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, lower_bound, optimal
+from .exact import (
+    DEFAULT_ORACLE_CAP,
+    MAX_ORACLE_CAP,
+    CapacityError,
+    SearchBudgetError,
+    lower_bound,
+    optimal,
+)
 from .greedy import PlacementTrace, first_fit, first_fit_traced, next_fit, placement_trace
 from .instances import (
     FAMILIES,

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule, _require_int, is_feasible
 from .cover import setcover_greedy
-from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, optimal
+from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, CapacityError, SearchBudgetError, optimal
 from .greedy import first_fit, next_fit
 from .instances import (
     MAX_JOBS,
@@ -40,7 +40,7 @@ ORACLE_CAP_ENV = "FOSCHED_ORACLE_CAP"
 
 
 def effective_oracle_cap() -> int:
-    """Size cap for the exact solver, overridable via FOSCHED_ORACLE_CAP."""
+    """Size cap for the exact solver, overridable via FOSCHED_ORACLE_CAP up to MAX_ORACLE_CAP."""
     raw = os.environ.get(ORACLE_CAP_ENV)
     if raw is None:
         return DEFAULT_ORACLE_CAP
@@ -48,8 +48,8 @@ def effective_oracle_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InputError(f"{ORACLE_CAP_ENV} must be >= 0, got {cap}")
+    if not 0 <= cap <= MAX_ORACLE_CAP:
+        raise InputError(f"{ORACLE_CAP_ENV} must be between 0 and {MAX_ORACLE_CAP}, got {cap}")
     return cap
 
 
@@ -157,8 +157,10 @@ def evaluate(
 class BoundAssertion:
     """A guarantee a record must satisfy whenever it applies.
 
-    ``applies`` and ``holds`` are total over records that carry an opt
-    count; assertions needing other counts skip records lacking them.
+    ``applies`` is total over all records and checks that every count the
+    assertion reads is present, so a record lacking one (an opt above the
+    oracle cap or out of node budget) skips it; ``holds`` runs only where it
+    applies.
     """
 
     name: str
@@ -186,7 +188,7 @@ BOUND_ASSERTIONS: tuple[BoundAssertion, ...] = (
     BoundAssertion(
         "unit-ff-optimal",
         "unit processing times: ff == opt",
-        lambda r: OrderClass.UNIT_PROCESSING in r.classes and _has(r, "ff"),
+        lambda r: OrderClass.UNIT_PROCESSING in r.classes and _has(r, "ff", "opt"),
         lambda r: r.ff == r.opt,
     ),
     BoundAssertion(
@@ -199,7 +201,7 @@ BOUND_ASSERTIONS: tuple[BoundAssertion, ...] = (
         "slack-noninc-ff-below-double",
         "non-increasing slacks: ff <= 2*opt - 1",
         lambda r: OrderClass.SLACK_NONINCREASING in r.classes
-        and _has(r, "ff")
+        and _has(r, "ff", "opt")
         and r.opt >= 1,
         lambda r: r.ff <= 2 * r.opt - 1,
     ),
@@ -207,7 +209,7 @@ BOUND_ASSERTIONS: tuple[BoundAssertion, ...] = (
         "slack-nondec-ff-below-double",
         "non-decreasing slacks: ff <= 2*opt - 1",
         lambda r: OrderClass.SLACK_NONDECREASING in r.classes
-        and _has(r, "ff")
+        and _has(r, "ff", "opt")
         and r.opt >= 1,
         lambda r: r.ff <= 2 * r.opt - 1,
     ),
@@ -215,7 +217,7 @@ BOUND_ASSERTIONS: tuple[BoundAssertion, ...] = (
         "deadline-noninc-ff-below-double",
         "non-increasing deadlines: ff <= 2*opt - 1",
         lambda r: OrderClass.DEADLINE_NONINCREASING in r.classes
-        and _has(r, "ff")
+        and _has(r, "ff", "opt")
         and r.opt >= 1,
         lambda r: r.ff <= 2 * r.opt - 1,
     ),
@@ -240,16 +242,18 @@ BOUND_ASSERTIONS: tuple[BoundAssertion, ...] = (
     BoundAssertion(
         "cover-harmonic",
         "cover <= ceil((ln n + 1) * opt)",
-        lambda r: _has(r, "cover") and r.n >= 1 and r.opt >= 1,
+        lambda r: _has(r, "cover", "opt") and r.n >= 1 and r.opt >= 1,
         lambda r: r.cover <= _harmonic_cap(r),
     ),
 )
 
 
 def assert_bounds(record: BenchRecord) -> list[BoundViolation]:
-    """Violations of every applicable proven bound; empty when all hold."""
-    if record.opt is None:
-        raise InputError(f"record {record.instance_id!r} has no opt count")
+    """Violations of every applicable proven bound; empty when all hold.
+
+    Bounds whose counts the record lacks are skipped, so a record without
+    opt is still checked against ff == nf under non-increasing slacks.
+    """
     violations = []
     for assertion in BOUND_ASSERTIONS:
         if assertion.applies(record) and not assertion.holds(record):

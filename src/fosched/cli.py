@@ -161,9 +161,11 @@ def _cmd_bench(args) -> int:
     Path(args.out).write_text(emit_report(records, fmt), encoding="utf-8")
     sys.stderr.write(f"wrote {len(records)} records to {args.out}\n")
     if args.assert_bounds:
-        violations = [v for r in records if r.opt is not None for v in assert_bounds(r)]
+        violations = [v for r in records for v in assert_bounds(r)]
         for v in violations:
             sys.stderr.write(f"violation [{v.assertion}] {v.instance_id}: {v.detail}\n")
+        without_opt = sum(r.opt is None for r in records)
+        sys.stderr.write(f"checked bounds on {len(records)} records, {without_opt} without opt\n")
         if violations:
             return EXIT_BOUNDS
     return EXIT_OK

@@ -6,6 +6,10 @@ Lawler–Moore dynamic program for a fixed sequence: ``best[k]`` is the least
 completion time of a feasible k-subset of the jobs seen so far, and each job
 improves it in place. ``best`` is strictly increasing, so it only holds the
 feasible sizes, and bitmasks of the improved sizes replay the choices.
+
+``latest_starts`` runs the same recursion backwards, over every suffix, for
+the exact search: how many of the remaining jobs a machine can still take
+given the load it already carries.
 """
 
 from __future__ import annotations
@@ -42,6 +46,38 @@ def build_table(jobs: Sequence[Job]) -> tuple[list[int], list[int]]:
             mark |= 1 << k
         marks.append(mark)
     return best, marks
+
+
+def latest_starts(p: Sequence[int], d: Sequence[int]) -> list[list[int]]:
+    """Negated latest start times by subset size, for every suffix of jobs.
+
+    ``S_j[k]`` is the latest time at which a machine can start and still run
+    some k-subset of jobs j..n-1 back to back within their deadlines. Either
+    the subset skips job j, or it starts with it:
+
+        S_j[k] = max(S_{j+1}[k], min(slack_j, S_{j+1}[k-1] - p_j)),  S_j[0] = inf.
+
+    Sizes with no start at or after time 0 are dropped, so ``S_j`` decreases
+    in k and holds one entry per feasible size. ``table[j]`` lists
+    ``-S_j[1], -S_j[2], ...``, increasing, so the most jobs of j..n-1 a
+    machine already loaded to L can take is ``bisect_right(table[j], -L)``,
+    and ``len(table[j])`` is the largest feasible subset of jobs[j:].
+    """
+    n = len(p)
+    starts: list[list[int]] = [[] for _ in range(n + 1)]  # S_j[1], S_j[2], ...
+    for j in range(n - 1, -1, -1):
+        later = starts[j + 1]
+        pj, slack = p[j], d[j] - p[j]
+        row = []
+        for k in range(1, len(later) + 2):
+            start = slack if k == 1 else min(slack, later[k - 2] - pj)
+            if k <= len(later):
+                start = max(start, later[k - 1])
+            if start < 0:
+                break
+            row.append(start)
+        starts[j] = row
+    return [[-start for start in row] for row in starts]
 
 
 def max_feasible_subset(jobs: Sequence[Job]) -> tuple[int, list[int]]:

@@ -2,16 +2,28 @@
 
 ``optimal`` runs an iterative-deepening depth-first search: it tries machine
 budgets upward from a provable lower bound until a feasible assignment
-exists, so the first success is optimal. It is deliberately capped at
-n <= 20 by default (override via the ``limit`` argument).
+exists, so the first success is optimal. The root bound is the larger of a
+threshold-volume bound and a conflict clique (``lower_bound``). Every search
+node is pruned by a cardinality bound from a backward Lawler–Moore table
+(``cover.latest_starts``) and by the conflict clique of the jobs no open
+machine can take. The solver is capped at n <= 20 by default (override via
+the ``limit`` argument, up to MAX_ORACLE_CAP).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+from typing import Sequence
+
 from .core import InputError, Instance, Schedule
+from .cover import latest_starts
 from .greedy import first_fit
 
 DEFAULT_ORACLE_CAP = 20
+# _search recurses once per job; this keeps it well below Python's default
+# recursion limit of 1000 frames.
+MAX_ORACLE_CAP = 500
 
 
 class CapacityError(InputError):
@@ -46,26 +58,54 @@ class _Budget:
             raise SearchBudgetError("search node budget exhausted")
 
 
+def suffix_cliques(p: Sequence[int], slack: Sequence[int], below: float = math.inf) -> list[int]:
+    """For every j, the most jobs k >= j with slack_k < below that pairwise conflict.
+
+    Jobs i < k conflict when p_i > slack_k: job k cannot start once job i has
+    run, so no two jobs of such a set share a machine and each needs its own.
+    Walking back from the last job, job i joins a set of later jobs when its
+    p exceeds the largest slack in the set, so ``sizes`` maps that largest
+    slack to the most jobs reaching it. Entry n is 0.
+    """
+    n = len(p)
+    cliques = [0] * (n + 1)
+    sizes: dict[int, int] = {}
+    best = 0
+    for i in range(n - 1, -1, -1):
+        si = slack[i]
+        if si < below:
+            pi = p[i]
+            grown = {si: 1}
+            for top, size in sizes.items():
+                if pi > top:
+                    key = top if top > si else si
+                    if grown.get(key, 0) <= size:
+                        grown[key] = size + 1
+            for key, size in grown.items():
+                if sizes.get(key, 0) < size:
+                    sizes[key] = size
+                    best = max(best, size)
+        cliques[i] = best
+    return cliques
+
+
 def lower_bound(instance: Instance) -> int:
     """A machine count no feasible schedule can beat.
 
-    Combines a volume bound (total work over the largest deadline, since a
-    machine's load never exceeds its last job's deadline) with a count of
-    jobs that must sit first on their machine because even the smallest
-    earlier job would push them past their deadline.
+    The larger of two bounds. Threshold volume: the jobs with deadline at
+    most t all run within [0, t] on their machines, so m >= W_t / t for
+    every deadline t, with W_t their total work. Conflict clique: jobs that
+    pairwise cannot share a machine (``suffix_cliques``) need one each.
     """
     if instance.n == 0:
         return 0
-    total = instance.total_work
-    dmax = max(job.d for job in instance.jobs)
-    volume = -(-total // dmax)
-    forced_first = 0
-    min_p: int | None = None
-    for job in instance.jobs:
-        if min_p is None or job.slack < min_p:
-            forced_first += 1
-        min_p = job.p if min_p is None else min(min_p, job.p)
-    return max(1, volume, forced_first)
+    p = [job.p for job in instance.jobs]
+    d = [job.d for job in instance.jobs]
+    volume = work = 0
+    for deadline, length in sorted(zip(d, p)):
+        work += length
+        volume = max(volume, -(-work // deadline))
+    return max(volume, suffix_cliques(p, [dj - pj for pj, dj in zip(p, d)])[0])
 
 
 def _search(
@@ -78,11 +118,43 @@ def _search(
     load multiset); machines with equal loads are interchangeable and only
     the first is branched on. Children are explored in ascending load order
     with the fresh-machine branch last.
+
+    Two sound prunes fail a state, into the memo, before it branches:
+    - cardinality: a machine loaded to L takes at most kmax(j, L) of the
+      remaining jobs j..n-1 (``cover.latest_starts``), so the open machines
+      plus the unopened ones, kmax(j, 0) each, must cover n - j jobs;
+    - conflict clique: loads only grow, so a remaining job whose slack is
+      below the least open load must go on a machine not yet open, and a
+      clique of such jobs needs one machine each.
+    Both only cut subtrees without a feasible leaf, so the first feasible
+    leaf, and the assignment returned, is the one the plain search finds.
     """
     n = len(p)
+    slack = [dj - pj for pj, dj in zip(p, d)]
+    slack_values = sorted(set(slack))
+    starts = latest_starts(p, d)
+    cliques: dict[int, list[int]] = {}
     failed: set[tuple[int, tuple[int, ...]]] = set()
     loads: list[int] = []
     assignment: list[int] = []
+
+    def doomed(j: int, sorted_loads: tuple[int, ...]) -> bool:
+        spare = machine_limit - len(sorted_loads)
+        if spare >= n - j:
+            return False  # one fresh machine per remaining job
+        row = starts[j]
+        room = spare * len(row)
+        for load in sorted_loads:
+            room += bisect_right(row, -load)
+        if room < n - j:
+            return True
+        least = sorted_loads[0] if sorted_loads else math.inf
+        # the cliques depend on the least load only through which slacks lie below it
+        rank = bisect_left(slack_values, least)
+        below = cliques.get(rank)
+        if below is None:
+            below = cliques[rank] = suffix_cliques(p, slack, least)
+        return below[j] > spare
 
     def dfs(j: int) -> bool:
         budget.spend()
@@ -90,6 +162,9 @@ def _search(
             return True
         key = (j, tuple(sorted(loads)))
         if key in failed:
+            return False
+        if doomed(*key):
+            failed.add(key)
             return False
         pj, dj = p[j], d[j]
         last_load = -1
@@ -123,14 +198,16 @@ def optimal(
     """A schedule with the minimum number of machines.
 
     Deterministic given the instance. ``limit`` overrides the default size
-    cap; ``node_budget`` bounds total search nodes across all deepening
-    levels and raises SearchBudgetError (carrying the first-fit machine
-    count as the best known upper bound) when exhausted; a negative budget
-    is an InputError.
+    cap, up to MAX_ORACLE_CAP; ``node_budget`` bounds total search nodes
+    across all deepening levels and raises SearchBudgetError (carrying the
+    first-fit machine count as the best known upper bound) when exhausted.
+    A negative budget or a limit above MAX_ORACLE_CAP is an InputError.
     """
     if node_budget is not None and node_budget < 0:
         raise InputError(f"node budget must be >= 0, got {node_budget}")
     cap = DEFAULT_ORACLE_CAP if limit is None else limit
+    if cap > MAX_ORACLE_CAP:
+        raise InputError(f"exact solver cap must be <= {MAX_ORACLE_CAP}, got {cap}")
     if instance.n > cap:
         raise CapacityError(f"instance has {instance.n} jobs, exact solver cap is {cap}")
     if instance.n == 0:

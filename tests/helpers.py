@@ -6,7 +6,7 @@ import math
 
 import hypothesis.strategies as st
 
-from fosched import CapacityError, Instance, Job, PlacementTrace, Schedule, is_feasible
+from fosched import CapacityError, Instance, Job, PlacementTrace, Schedule, first_fit, is_feasible
 
 # Alternating-growth family at n=5: [(1,1),(2,2),(3,4),(5,7),(8,12)].
 NF_HARD_5 = Instance.from_pairs([(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)])
@@ -87,8 +87,8 @@ def next_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace,
     return Schedule(tuple(assignment)), tuple(trace)
 
 
-def max_subset_exhaustive(jobs) -> int:
-    """Largest single-machine-feasible subset size, by trying every subset.
+def max_subset_exhaustive(jobs, start: int = 0) -> int:
+    """Largest subset size one machine runs from time ``start``, by trying every subset.
 
     Independent of the dynamic program: plain include/exclude recursion over
     the sequence, carrying the running completion time. Skipping a job never
@@ -104,7 +104,7 @@ def max_subset_exhaustive(jobs) -> int:
             best = max(best, 1 + walk(idx + 1, completion + job.p))
         return best
 
-    return walk(0, 0)
+    return walk(0, start)
 
 
 def subset_dp_rows(jobs) -> list[list[float]]:
@@ -200,3 +200,77 @@ def optimal_count_bruteforce(instance: Instance) -> int:
     if not is_feasible(instance, Schedule(tuple(best_assignment))):
         raise RuntimeError("enumeration produced an infeasible witness")
     return best
+
+
+def search_unpruned(p: list[int], d: list[int], machine_limit: int) -> list[int] | None:
+    """``exact._search`` without its cardinality and clique prunes.
+
+    Same memo (next job, sorted loads), same branching on the first machine
+    of each distinct load in ascending load order, fresh machine last, so it
+    reaches the same first feasible leaf by a longer walk.
+    """
+    n = len(p)
+    failed: set[tuple[int, tuple[int, ...]]] = set()
+    loads: list[int] = []
+    assignment: list[int] = []
+
+    def dfs(j: int) -> bool:
+        if j == n:
+            return True
+        key = (j, tuple(sorted(loads)))
+        if key in failed:
+            return False
+        pj, dj = p[j], d[j]
+        last_load = -1
+        for load, i in sorted((load, i) for i, load in enumerate(loads)):
+            if load == last_load:
+                continue
+            last_load = load
+            if load + pj <= dj:
+                loads[i] = load + pj
+                assignment.append(i + 1)
+                if dfs(j + 1):
+                    return True
+                loads[i] = load
+                assignment.pop()
+        if len(loads) < machine_limit:
+            loads.append(pj)
+            assignment.append(len(loads))
+            if dfs(j + 1):
+                return True
+            loads.pop()
+            assignment.pop()
+        failed.add(key)
+        return False
+
+    return assignment if dfs(0) else None
+
+
+def optimal_unpruned(instance: Instance) -> Schedule:
+    """``exact.optimal`` by plain iterative deepening; the assignment oracle.
+
+    Deepens upward from the weaker volume and forced-first bound, with no
+    node budget and no size cap, and keeps first fit's schedule when no
+    smaller level is feasible, exactly as ``optimal`` does. A sound prune in
+    ``optimal`` changes neither the first feasible level nor its first leaf,
+    so both return the same assignment.
+    """
+    if instance.n == 0:
+        return Schedule(())
+    p = [job.p for job in instance.jobs]
+    d = [job.d for job in instance.jobs]
+    # work over the largest deadline; jobs whose slack is below every
+    # earlier job's p must each open a machine
+    floor = -(-sum(p) // max(d))
+    forced_first = 0
+    min_p: int | None = None
+    for pj, dj in zip(p, d):
+        if min_p is None or dj - pj < min_p:
+            forced_first += 1
+        min_p = pj if min_p is None else min(min_p, pj)
+    seed = first_fit(instance)
+    for m in range(max(1, floor, forced_first), seed.machine_count):
+        found = search_unpruned(p, d, m)
+        if found is not None:
+            return Schedule(tuple(found))
+    return seed

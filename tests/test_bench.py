@@ -17,6 +17,7 @@ from fosched import (
     OrderClass,
     assert_bounds,
     counterexample_search,
+    effective_oracle_cap,
     emit_report,
     evaluate,
     expand_sweep,
@@ -69,6 +70,23 @@ class TestRun:
         assert reports[0].error_kind == "budget"
 
 
+class TestOracleCap:
+    def test_default_without_the_variable(self, monkeypatch):
+        monkeypatch.delenv("FOSCHED_ORACLE_CAP", raising=False)
+        assert effective_oracle_cap() == DEFAULT_ORACLE_CAP
+
+    @pytest.mark.parametrize("raw, cap", [("0", 0), ("500", 500)])
+    def test_accepts_up_to_the_maximum(self, monkeypatch, raw, cap):
+        monkeypatch.setenv("FOSCHED_ORACLE_CAP", raw)
+        assert effective_oracle_cap() == cap
+
+    @pytest.mark.parametrize("raw", ["-1", "501", "5000"])
+    def test_rejects_values_outside_the_range(self, monkeypatch, raw):
+        monkeypatch.setenv("FOSCHED_ORACLE_CAP", raw)
+        with pytest.raises(InputError, match=f"between 0 and 500, got {raw}"):
+            effective_oracle_cap()
+
+
 class TestEvaluate:
     def test_record_fields(self):
         record = evaluate(gen_tight2(2), "t2")
@@ -108,10 +126,14 @@ class TestAssertBounds:
         for inst in (NF_HARD_5, Instance.from_pairs([(1, 1)] * 3), Instance(())):
             assert assert_bounds(evaluate(inst, "i")) == []
 
-    def test_requires_opt(self):
-        record = evaluate(NF_HARD_5, "x", ("ff",))
-        with pytest.raises(InputError):
-            assert_bounds(record)
+    def test_checks_opt_free_bounds_without_opt(self):
+        record = evaluate(gen_tight2(3), "t3", ("ff", "nf", "cover"))
+        assert record.opt is None and record.ff == record.nf == 7
+        assert assert_bounds(record) == []
+
+    def test_ff_nf_violation_reported_without_opt(self):
+        record = BenchRecord("bad", 5, OrderClass.SLACK_NONINCREASING, ff=2, nf=3, cover=2)
+        assert [v.assertion for v in assert_bounds(record)] == ["slack-noninc-ff-equals-nf"]
 
     def test_opt2_violation_detected(self):
         record = BenchRecord("bad", 4, OrderClass.ARBITRARY, ff=4, opt=2)

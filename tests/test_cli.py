@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import fosched.bench as bench_module
 import fosched.cli as cli_module
 import fosched.greedy as greedy_module
-from fosched import gen_nf_hard, gen_tight2, instance_to_json, save_instance, Instance
+from fosched import Instance, Schedule, gen_nf_hard, gen_tight2, instance_to_json, save_instance
 from fosched.cli import main
 from helpers import first_fit_linear_traced, next_fit_traced
 
@@ -141,6 +142,27 @@ class TestRun:
         rows = json.loads(capsys.readouterr().out)
         assert [row["algorithm"] for row in rows] == ["ff", "nf", "cover"]
 
+    @staticmethod
+    def _deep_instance(tmp_path, loose: int) -> str:
+        # loose unit jobs, then the tight family: the search descends through
+        # every job, one stack frame each
+        path = tmp_path / "deep.json"
+        tail = [(job.p, job.d) for job in gen_tight2(3).jobs]
+        save_instance(Instance.from_pairs([(1, 10**6)] * loose + tail), path)
+        return str(path)
+
+    def test_oracle_cap_above_the_maximum_is_one_input_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FOSCHED_ORACLE_CAP", "5000")
+        assert main(["run", "--algo", "opt", "--input", self._deep_instance(tmp_path, 1100)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["input error: FOSCHED_ORACLE_CAP must be between 0 and 500, got 5000"]
+
+    def test_deep_search_at_the_maximum_cap_ends_in_a_budget_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FOSCHED_ORACLE_CAP", "500")
+        path = self._deep_instance(tmp_path, 490)
+        assert main(["run", "--algo", "opt", "--input", path, "--node-budget", "20000"]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: search node budget exhausted"]
+
     def test_exhausted_node_budget_exits_3(self, tmp_path):
         path = tmp_path / "t2.json"
         save_instance(gen_tight2(2), path)
@@ -201,6 +223,45 @@ class TestBench:
         monkeypatch.setattr(bench_mod, "BOUND_ASSERTIONS", (broken,))
         argv = ["bench", "--sweep", str(sweep), "--out", str(out), "--assert-bounds"]
         assert main(argv) == 2
+
+    def test_bounds_without_opt_are_checked_and_counted(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"sweeps": [
+            {"family": "tight-2", "k_range": [1, 3]},
+            {"family": "slack-noninc", "n": 30, "count": 3},
+        ]}))
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--sweep", str(sweep), "--out", str(out), "--node-budget", "0",
+                "--assert-bounds"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 6 and all(row["opt"] == "" for row in rows)
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "checked bounds on 6 records, 6 without opt"
+
+    def test_ff_nf_violation_without_opt_exits_2(self, tmp_path, capsys, monkeypatch):
+        # next fit opening one machine per job breaks ff == nf, which needs no opt
+        monkeypatch.setattr(
+            bench_module, "next_fit", lambda inst: Schedule(tuple(range(1, inst.n + 1)))
+        )
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"sweeps": [{"family": "slack-noninc", "n": 30}]}))
+        argv = ["bench", "--sweep", str(sweep), "--out", str(tmp_path / "r.csv"), "--assert-bounds"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1].startswith("violation [slack-noninc-ff-equals-nf] slack-noninc-n30-s0:")
+        assert err[-1] == "checked bounds on 1 records, 1 without opt"
+
+    def test_budget_exhausting_instance_leaves_opt_empty(self, tmp_path, capsys):
+        entry = {"family": "slack-noninc", "n": 20, "count": 1, "seed": 0,
+                 "p_range": [1, 100], "slack_range": [0, 100]}
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"sweeps": [entry]}))
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--sweep", str(sweep), "--out", str(out), "--node-budget", "20000"]
+        assert main(argv) == 0
+        [row] = csv.DictReader(out.read_text().splitlines())
+        assert row["opt"] == "" and row["ff"] == "10"
 
     def test_malformed_sweep_is_input_error(self, tmp_path):
         sweep = tmp_path / "sweep.json"

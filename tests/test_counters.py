@@ -32,11 +32,11 @@ def test_first_fit_probes_and_machines():
 
 
 SEARCH_NODES = {
-    "unit": 1_040,
-    "slack-noninc": 69_285,
-    "slack-nondec": 1_259,
-    "deadline-noninc": 16_369,
-    "arbitrary": 22_624,
+    "unit": 268,
+    "slack-noninc": 1_352,
+    "slack-nondec": 747,
+    "deadline-noninc": 359,
+    "arbitrary": 1_486,
 }
 
 

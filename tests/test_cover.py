@@ -1,10 +1,12 @@
 import math
 import random
+from bisect import bisect_right
 from unittest import mock
 
 from hypothesis import given, settings
 
 import fosched.cover as cover_module
+from fosched.cover import latest_starts
 from fosched import (
     Instance,
     Job,
@@ -130,6 +132,48 @@ class TestMaxFeasibleSubset:
                 pairs.append((p, p + rng.randint(0, rng.choice((0, 2, 10, 60)))))
             jobs = Instance.from_pairs(pairs).jobs
             assert max_feasible_subset(jobs) == max_feasible_subset_table(jobs), pairs
+
+
+def _kmax(table: list[list[int]], j: int, load: int) -> int:
+    return bisect_right(table[j], -load)
+
+
+class TestLatestStarts:
+    def test_growth_family(self):
+        # jobs (1,1),(2,2),(3,4),(5,7),(8,12): (8,12) alone starts by 4,
+        # (3,4) then (8,12) by 1, three odd-position jobs only at 0, and no
+        # four fit on one machine
+        p = [job.p for job in NF_HARD_5.jobs]
+        d = [job.d for job in NF_HARD_5.jobs]
+        table = latest_starts(p, d)
+        assert table[0] == [-4, -1, 0]
+        assert table[3] == table[4] == [-4] and table[5] == []
+
+    def test_entries_increase_and_stay_at_most_zero(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            p = [rng.randint(1, 6) for _ in range(12)]
+            d = [pj + rng.randint(0, 15) for pj in p]
+            for row in latest_starts(p, d):
+                assert row == sorted(row) and all(value <= 0 for value in row)
+
+    @given(instances_st(max_n=12, max_slack=20))
+    @settings(max_examples=150)
+    def test_unloaded_machine_matches_the_forward_dp(self, instance):
+        jobs = instance.jobs
+        table = latest_starts([job.p for job in jobs], [job.d for job in jobs])
+        assert len(table) == len(jobs) + 1
+        for j in range(len(jobs) + 1):
+            assert _kmax(table, j, 0) == len(table[j]) == max_feasible_subset(jobs[j:])[0]
+
+    @given(instances_st(max_n=9, max_slack=20))
+    @settings(max_examples=120)
+    def test_loaded_machine_matches_enumeration(self, instance):
+        jobs = instance.jobs
+        table = latest_starts([job.p for job in jobs], [job.d for job in jobs])
+        for j in range(len(jobs) + 1):
+            for load in range(0, 32, 3):
+                assert _kmax(table, j, load) == max_subset_exhaustive(jobs[j:], load)
 
 
 class TestSetCoverGreedy:

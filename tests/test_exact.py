@@ -1,26 +1,40 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fosched.exact as exact_module
 
 from fosched import (
+    RANDOM_FAMILIES,
     CapacityError,
+    GenSpec,
     InputError,
     Instance,
     SearchBudgetError,
     Schedule,
     first_fit,
     gen_nf_hard,
+    gen_random,
     gen_tight2,
     is_feasible,
     lower_bound,
     next_fit,
     optimal,
 )
-from fosched.exact import _Budget, _search
-from helpers import NF_HARD_5, instances_st, optimal_count_bruteforce
+from fosched.exact import MAX_ORACLE_CAP, _Budget, _search, suffix_cliques
+from helpers import (
+    NF_HARD_5,
+    instances_st,
+    optimal_count_bruteforce,
+    optimal_unpruned,
+    search_unpruned,
+)
+
+# Exhausts a 20,000-node budget even with every prune: opt is 9, ff is 10.
+BUDGET_EXHAUSTING = GenSpec("slack-noninc", n=20, seed=0, p_range=(1, 100), slack_range=(0, 100))
 
 
 def _search_with(instance: Instance, machine_limit: int, node_budget: int | None = None):
@@ -110,6 +124,79 @@ def test_lower_bound_never_exceeds_optimum(instance):
         assert lower_bound(instance) == 0
 
 
+@given(instances_st(max_n=10))
+@settings(max_examples=80)
+def test_lower_bound_never_exceeds_enumeration(instance):
+    assert lower_bound(instance) <= optimal_count_bruteforce(instance)
+
+
+@given(instances_st(max_n=12, max_p=12, max_slack=20))
+@settings(max_examples=100)
+def test_lower_bound_covers_volume_and_forced_first(instance):
+    # the threshold volume at t = d_max and the clique generalise the work
+    # over the largest deadline and the jobs forced to open a machine
+    if instance.n == 0:
+        return
+    forced_first = [k for k, job in enumerate(instance.jobs)
+                    if all(job.slack < earlier.p for earlier in instance.jobs[:k])]
+    volume = -(-instance.total_work // max(job.d for job in instance.jobs))
+    assert lower_bound(instance) >= max(1, volume, len(forced_first))
+
+
+def test_lower_bound_threshold_volume():
+    # three 3-jobs due at 6 need two machines, though the work over the
+    # largest deadline and every clique give one
+    inst = Instance.from_pairs([(3, 6), (3, 6), (3, 6), (1, 100)])
+    assert suffix_cliques([3, 3, 3, 1], [3, 3, 3, 99])[0] == 1
+    assert lower_bound(inst) == optimal(inst).machine_count == 2
+
+
+def _clique_by_enumeration(p, slack, start, below):
+    eligible = [k for k in range(start, len(p)) if slack[k] < below]
+    return max(
+        (size for size in range(len(eligible) + 1)
+         for chosen in combinations(eligible, size)
+         if all(p[i] > slack[k] for i, k in combinations(chosen, 2))),
+        default=0,
+    )
+
+
+@given(instances_st(max_n=9, max_p=6, max_slack=6), st.integers(0, 8))
+@settings(max_examples=150)
+def test_suffix_cliques_match_enumeration(instance, below):
+    p = [job.p for job in instance.jobs]
+    slack = [job.slack for job in instance.jobs]
+    for limit in (below, float("inf")):
+        expected = [_clique_by_enumeration(p, slack, j, limit) for j in range(instance.n + 1)]
+        assert suffix_cliques(p, slack, limit) == expected
+
+
+class TestPrunesKeepTheAssignment:
+    """A sound prune cuts only failing subtrees, so the first feasible leaf,
+    and with it the assignment, is the plain search's."""
+
+    @given(instances_st(max_n=12))
+    @settings(max_examples=100)
+    def test_matches_the_unpruned_search(self, instance):
+        assert optimal(instance).assignment == optimal_unpruned(instance).assignment
+
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES)
+    def test_matches_the_unpruned_search_seeded(self, family):
+        for seed in range(20):
+            instance = gen_random(GenSpec(family, n=14, seed=seed))
+            assert optimal(instance).assignment == optimal_unpruned(instance).assignment, seed
+
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES)
+    def test_every_level_matches_the_unpruned_search(self, family):
+        for seed in range(5):
+            instance = gen_random(GenSpec(family, n=10, seed=seed))
+            p = [job.p for job in instance.jobs]
+            d = [job.d for job in instance.jobs]
+            for machines in range(0, first_fit(instance).machine_count + 2):
+                pruned = _search(p, d, machines, _Budget(None))
+                assert pruned == search_unpruned(p, d, machines), (seed, machines)
+
+
 class TestDeepeningSoundness:
     def test_one_machine_below_optimum_is_infeasible(self):
         for inst in (NF_HARD_5, gen_tight2(2), Instance.from_pairs([(1, 1)] * 3)):
@@ -165,6 +252,36 @@ class TestCapsAndBudgets:
         monkeypatch.setattr(exact_module, "_search", refuse)
         with pytest.raises(InputError, match="node budget must be >= 0"):
             optimal(instance, node_budget=-1)
+
+    def test_pruned_search_still_exhausts_the_budget(self):
+        with pytest.raises(SearchBudgetError) as exc:
+            optimal(gen_random(BUDGET_EXHAUSTING), node_budget=20_000)
+        assert exc.value.upper_bound == 10
+
+    def test_limit_above_the_maximum_is_input_error(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(exact_module, "first_fit", refuse)
+        with pytest.raises(InputError, match=f"cap must be <= {MAX_ORACLE_CAP}, got 501"):
+            optimal(NF_HARD_5, limit=MAX_ORACLE_CAP + 1)
+
+    @staticmethod
+    def _deep(k: int) -> Instance:
+        # loose unit jobs, then the tight family: the search places every
+        # job, one stack frame each, MAX_ORACLE_CAP frames deep
+        tail = [(job.p, job.d) for job in gen_tight2(k).jobs]
+        return Instance.from_pairs([(1, 10**6)] * (MAX_ORACLE_CAP - len(tail)) + tail)
+
+    def test_deepest_instance_within_the_maximum_solves(self):
+        inst = self._deep(1)
+        found = optimal(inst, limit=MAX_ORACLE_CAP, node_budget=20_000)
+        assert found.machine_count == 3 and is_feasible(inst, found)
+
+    def test_deepest_instance_within_the_maximum_ends_in_a_budget_error(self):
+        with pytest.raises(SearchBudgetError) as exc:
+            optimal(self._deep(3), limit=MAX_ORACLE_CAP, node_budget=20_000)
+        assert exc.value.upper_bound == 8
 
     def test_zero_budget_still_solves_without_search(self):
         loose = Instance.from_pairs([(1, 10)] * 3)  # first fit meets the lower bound
