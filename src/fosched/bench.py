@@ -27,6 +27,7 @@ from .greedy import first_fit, next_fit
 from .instances import (
     MAX_JOBS,
     GenSpec,
+    _int_pair,
     OrderClass,
     class_tokens,
     classify,
@@ -77,7 +78,7 @@ def run(
     instance: Instance,
     algorithms: Iterable[str],
     *,
-    oracle_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int | None = None,
 ) -> list[SolveReport]:
     """Run the named solvers; one report per algorithm in canonical order.
@@ -138,7 +139,7 @@ def evaluate(
     instance_id: str | None = None,
     algorithms: Iterable[str] = ALGORITHMS,
     *,
-    oracle_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int | None = None,
 ) -> BenchRecord:
     """Run solvers on one instance and fold the outcomes into a record."""
@@ -287,7 +288,7 @@ def counterexample_search(
     threshold: Fraction | int = Fraction(2),
     *,
     plants: Sequence[Instance] = (),
-    oracle_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int | None = None,
 ) -> HuntResult:
     """Evaluate ``budget`` seeded instances (plus any plants) and report the
@@ -301,8 +302,7 @@ def counterexample_search(
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
-    skipped = budget if template.n > cap else 0
+    skipped = budget if template.n > oracle_cap else 0
     # Lazily, so only the instance under evaluation is held in memory.
     drawn = map(gen_random, _seeded_specs(template, budget - skipped))
     candidates = chain(
@@ -405,20 +405,11 @@ def records_from_json(text: str) -> list[BenchRecord]:
 # Random entries expand to `count` instances seeded seed, seed+1, ...
 # Entries may override "algorithms". "opt" is dropped automatically for
 # instances larger than the oracle cap. A sweep may generate at most MAX_JOBS
-# jobs in all, checked before any instance is generated.
+# jobs in all. Every entry's fields, and the job count against the cap, are
+# checked before any instance is generated; the nf-hard and tight-2 limits
+# on n and k are checked by their generators.
 
 SweepTask = tuple[str, Instance, tuple[str, ...]]
-
-
-def _int_pair(value: object, what: str) -> tuple[int, int]:
-    ok = (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    )
-    if not ok:
-        raise InputError(f"{what} must be a pair of integers, got {value!r}")
-    return value[0], value[1]
 
 
 def _algorithms(value: object) -> tuple[str, ...]:
@@ -457,13 +448,16 @@ _ENTRY_KEYS = {
 }
 
 
-def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, Instance]]]:
+def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, GenSpec]]]:
     """The jobs the entry would generate, from its fields alone, and its
-    (id, instance) pairs, checked and generated only when iterated.
+    (id, spec) pairs, built lazily; the entry's fields are checked first.
 
-    Every instance counts at least one job, so a sweep of many empty or
-    invalid instances is bounded too.
+    Every instance counts at least one job, so a sweep of many empty
+    instances is bounded too.
     """
+    unknown = set(entry) - _ENTRY_KEYS
+    if unknown:
+        raise InputError(f"unknown sweep keys: {sorted(unknown)}")
     family = entry.get("family")
     if family in ("nf-hard", "tight-2"):
         key = "n" if family == "nf-hard" else "k"
@@ -475,57 +469,40 @@ def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, Instance]]]:
             jobs = _sum_at_least(lo, hi, 1)
         else:
             jobs = 3 * _sum_at_least(lo, hi, 0) + max(0, hi - lo + 1)  # 3k+1 each
-
-        def pairs() -> Iterator[tuple[str, Instance]]:
-            for v in range(lo, hi + 1):
-                yield f"{family}-{key}{v}", generate(GenSpec(family, **{key: v}))
-
-    else:
-        count = _count(entry)
-        n = _require_int(entry["n"], "n")
-        jobs = count * max(n, 1)
-
-        def pairs() -> Iterator[tuple[str, Instance]]:
-            p_range = _int_pair(entry.get("p_range", (1, 10)), "p_range")
-            slack_range = _int_pair(entry.get("slack_range", (0, 10)), "slack_range")
-            seed = entry.get("seed", 0)
-            base = GenSpec(family, n=n, seed=seed, p_range=p_range, slack_range=slack_range)
-            for spec in _seeded_specs(base, count):
-                yield f"{family}-n{spec.n}-s{spec.seed}", gen_random(spec)
-
-    return jobs, _checked(entry, pairs)
+        specs = ((f"{family}-{key}{v}", GenSpec(family, **{key: v})) for v in range(lo, hi + 1))
+        return jobs, specs
+    count = _count(entry)
+    ranges = {key: entry[key] for key in ("p_range", "slack_range") if key in entry}
+    base = GenSpec(family, n=entry["n"], seed=entry.get("seed", 0), **ranges)
+    specs = ((f"{family}-n{s.n}-s{s.seed}", s) for s in _seeded_specs(base, count))
+    return count * max(base.n, 1), specs
 
 
-def _checked(entry: dict, pairs: Callable[[], Iterator]) -> Iterator[tuple[str, Instance]]:
-    """The entry's pairs; its keys are checked on the first iteration, after the job cap."""
-    unknown = set(entry) - _ENTRY_KEYS
-    if unknown:
-        raise InputError(f"unknown sweep keys: {sorted(unknown)}")
-    yield from pairs()
-
-
-def expand_sweep(doc: dict, *, oracle_cap: int | None = None) -> list[SweepTask]:
-    """Turn a sweep document into (id, instance, algorithms) tasks."""
-    cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
+def expand_sweep(doc: dict, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[SweepTask]:
+    """Turn a sweep document into (id, instance, algorithms) tasks; every
+    entry's fields are checked before anything is generated."""
     if not isinstance(doc, dict) or not isinstance(doc.get("sweeps"), list):
         raise InputError('sweep file needs a "sweeps" array')
     default_algos = _algorithms(doc["algorithms"]) if "algorithms" in doc else ALGORITHMS
     entries = doc["sweeps"]
     if not all(isinstance(entry, dict) for entry in entries):
         raise InputError("sweep entries must be objects")
+    parsed = []
     try:
-        parsed = [_parse_entry(entry) for entry in entries]
-        jobs = sum(entry_jobs for entry_jobs, _ in parsed)
-        if jobs > MAX_JOBS:
-            raise InputError(f"sweep would generate {jobs} jobs, above the cap of {MAX_JOBS}")
-        expansions = [list(pairs) for _, pairs in parsed]
+        for entry in entries:
+            entry_jobs, specs = _parse_entry(entry)
+            algos = _algorithms(entry["algorithms"]) if "algorithms" in entry else default_algos
+            parsed.append((entry_jobs, specs, algos))
     except KeyError as exc:
         raise InputError(f"sweep entry missing key {exc}") from None
+    jobs = sum(entry_jobs for entry_jobs, _, _ in parsed)
+    if jobs > MAX_JOBS:
+        raise InputError(f"sweep would generate {jobs} jobs, above the cap of {MAX_JOBS}")
     tasks: list[SweepTask] = []
-    for entry, expanded in zip(entries, expansions):
-        algos = _algorithms(entry["algorithms"]) if "algorithms" in entry else default_algos
-        for instance_id, instance in expanded:
-            effective = tuple(a for a in algos if a != "opt" or instance.n <= cap)
+    for _, specs, algos in parsed:
+        for instance_id, spec in specs:
+            instance = generate(spec)
+            effective = tuple(a for a in algos if a != "opt" or instance.n <= oracle_cap)
             tasks.append((instance_id, instance, effective))
     return tasks
 
@@ -538,7 +515,7 @@ def load_sweep(path: str | Path) -> dict:
 
 
 def _evaluate_task(
-    task: SweepTask, oracle_cap: int | None, node_budget: int | None
+    task: SweepTask, oracle_cap: int, node_budget: int | None
 ) -> BenchRecord:
     instance_id, instance, algos = task
     return evaluate(
@@ -550,7 +527,7 @@ def run_sweep(
     tasks: Sequence[SweepTask],
     *,
     jobs: int = 1,
-    oracle_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int | None = None,
 ) -> list[BenchRecord]:
     """Evaluate sweep tasks, optionally in parallel; results keep task order."""

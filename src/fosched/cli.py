@@ -95,8 +95,8 @@ def _cmd_gen(args) -> int:
         n=args.n,
         k=args.k,
         seed=args.seed,
-        p_range=tuple(args.p_range),
-        slack_range=tuple(args.slack_range),
+        p_range=args.p_range,
+        slack_range=args.slack_range,
     )
     text = instance_to_json(generate(spec))
     if args.out:
@@ -180,8 +180,8 @@ def _cmd_hunt(args) -> int:
         family="arbitrary",
         n=args.n,
         seed=args.seed,
-        p_range=tuple(args.p_range),
-        slack_range=tuple(args.slack_range),
+        p_range=args.p_range,
+        slack_range=args.slack_range,
     )
     result = counterexample_search(
         args.budget,
@@ -211,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
             raise InputError(f"--node-budget must be >= 0, got {args.node_budget}")
+        if getattr(args, "jobs", 1) < 1:
+            raise InputError(f"--jobs must be >= 1, got {args.jobs}")
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "run":

@@ -193,7 +193,7 @@ def _search(
 
 
 def optimal(
-    instance: Instance, limit: int | None = None, *, node_budget: int | None = None
+    instance: Instance, limit: int = DEFAULT_ORACLE_CAP, *, node_budget: int | None = None
 ) -> Schedule:
     """A schedule with the minimum number of machines.
 
@@ -205,11 +205,10 @@ def optimal(
     """
     if node_budget is not None and node_budget < 0:
         raise InputError(f"node budget must be >= 0, got {node_budget}")
-    cap = DEFAULT_ORACLE_CAP if limit is None else limit
-    if cap > MAX_ORACLE_CAP:
-        raise InputError(f"exact solver cap must be <= {MAX_ORACLE_CAP}, got {cap}")
-    if instance.n > cap:
-        raise CapacityError(f"instance has {instance.n} jobs, exact solver cap is {cap}")
+    if limit > MAX_ORACLE_CAP:
+        raise InputError(f"exact solver cap must be <= {MAX_ORACLE_CAP}, got {limit}")
+    if instance.n > limit:
+        raise CapacityError(f"instance has {instance.n} jobs, exact solver cap is {limit}")
     if instance.n == 0:
         return Schedule(())
     seed = first_fit(instance)

@@ -79,6 +79,18 @@ def classify(instance: Instance) -> OrderClass:
 MAX_JOBS = 1_000_000
 
 
+def _int_pair(value: object, what: str) -> tuple[int, int]:
+    """``value`` as a tuple of two non-bool ints, else an InputError naming ``what``."""
+    ok = (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    )
+    if not ok:
+        raise InputError(f"{what} must be a pair of integers, got {value!r}")
+    return value[0], value[1]
+
+
 def _require_within_cap(family: str, n: int = 0, k: int = 0) -> None:
     """Reject a family instance above MAX_JOBS jobs (tight-2 holds 3k+1)."""
     jobs = 3 * k + 1 if family == "tight-2" else n
@@ -142,7 +154,8 @@ class GenSpec:
     ``n`` sizes the random families and nf-hard; ``k`` parameterizes
     tight-2, which has 3k+1 jobs. No spec may ask for more than MAX_JOBS
     jobs. Processing times are drawn uniformly from ``p_range`` and
-    deadlines are p plus a uniform draw from ``slack_range``.
+    deadlines are p plus a uniform draw from ``slack_range``; both ranges
+    must be pairs of integers and are stored as tuples.
     """
 
     family: str
@@ -153,6 +166,8 @@ class GenSpec:
     slack_range: tuple[int, int] = (0, 10)
 
     def __post_init__(self) -> None:
+        for what in ("p_range", "slack_range"):
+            object.__setattr__(self, what, _int_pair(getattr(self, what), what))
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
         for what in ("n", "k", "seed"):
@@ -162,8 +177,7 @@ class GenSpec:
         if self.n < 0:
             raise InputError(f"n must be >= 0, got {self.n}")
         _require_within_cap(self.family, self.n, self.k)
-        p_lo, p_hi = self.p_range
-        s_lo, s_hi = self.slack_range
+        (p_lo, p_hi), (s_lo, s_hi) = self.p_range, self.slack_range
         if p_lo < 1 or p_hi < p_lo:
             raise InputError(f"bad processing range {self.p_range}")
         if s_lo < 0 or s_hi < s_lo:

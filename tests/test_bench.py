@@ -383,8 +383,29 @@ class TestSweeps:
         with pytest.raises(InputError, match="above the cap"):
             expand_sweep({"sweeps": entries})
 
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"algorithms": ["zz"]},
+            {"p_range": [1]},
+            {"slack_range": [0, "x"]},
+            {"seed": "x"},
+            {"family": "what"},
+            {"oops": 1},
+        ],
+    )
+    def test_every_entry_is_checked_before_generating(self, monkeypatch, fault):
+        def refuse(*args):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(bench_module, "generate", refuse)
+        monkeypatch.setattr(bench_module, "gen_random", refuse)
+        entries = [{"family": "arbitrary", "n": 1000, "count": 999}, {"family": "unit", "n": 3, **fault}]
+        with pytest.raises(InputError):
+            expand_sweep({"sweeps": entries})
+
     def test_sweep_at_the_job_cap_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(bench_module, "gen_random", lambda spec: Instance(()))
+        monkeypatch.setattr(bench_module, "generate", lambda spec: Instance(()))
         doc = {"algorithms": ["ff"], "sweeps": [{"family": "arbitrary", "n": 100_000, "count": 10}]}
         assert len(expand_sweep(doc)) == 10
 
@@ -410,9 +431,10 @@ class TestSweeps:
         monkeypatch.setattr(bench_module, "generate", refuse)
         monkeypatch.setattr(bench_module, "gen_random", refuse)
         for entry in ({"family": "tight-2", "k_range": [1, 3]}, {"family": "unit", "n": 4, "count": 2}):
-            _, pairs = bench_module._parse_entry(entry)
-            with pytest.raises(AssertionError, match="generated"):
-                next(pairs)
+            _, specs = bench_module._parse_entry(entry)
+            instance_id, spec = next(specs)
+            assert isinstance(spec, GenSpec) and spec.family == entry["family"]
+            assert instance_id in ("tight-2-k1", "unit-n4-s0")
 
     def test_closed_form_range_sum(self):
         for lo in range(-5, 9):

@@ -337,6 +337,23 @@ def test_negative_node_budget_is_one_input_error_line(tmp_path, capsys, monkeypa
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_one_input_error_line(tmp_path, capsys, monkeypatch, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read the sweep")
+
+    for name in ("load_sweep", "expand_sweep"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    sweep, out = tmp_path / "s.json", tmp_path / "r.csv"
+    sweep.write_text(json.dumps({"sweeps": [{"family": "arbitrary", "n": 1000, "count": 1000}]}))
+    assert main(["bench", "--sweep", str(sweep), "--out", str(out), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0] == f"input error: --jobs must be >= 1, got {jobs}"
+    assert not out.exists()
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "fosched", "gen", "--family", "nf-hard", "--n", "4"],

@@ -1,4 +1,5 @@
-"""Arbitrary JSON through the four parsers: each succeeds or raises InputError.
+"""Arbitrary JSON through the four parsers, and junk GenSpec fields: each
+succeeds or raises InputError.
 
 Documents are built from the parsers' real keys, families, algorithm names
 and class tokens, mixed with junk keys and values of the wrong type. Every
@@ -15,6 +16,7 @@ from fosched import (
     ALGORITHMS,
     FAMILIES,
     REPORT_COLUMNS,
+    GenSpec,
     InputError,
     expand_sweep,
     instance_from_json,
@@ -83,6 +85,16 @@ ROW = objects(
     }
 )
 REPORT = mostly(st.lists(ROW, max_size=3))
+SPEC_FIELDS = st.fixed_dictionaries(
+    {
+        "family": mostly(st.sampled_from(FAMILIES)),
+        "n": mostly(INTS),
+        "k": mostly(INTS),
+        "seed": mostly(INTS),
+        "p_range": mostly(PAIRS | PAIRS.map(tuple)),
+        "slack_range": mostly(PAIRS | PAIRS.map(tuple)),
+    }
+)
 
 
 def succeeds_or_input_error(parse, doc) -> None:
@@ -114,3 +126,14 @@ def test_sweep_parser(doc):
 @settings(max_examples=200)
 def test_report_parser(doc):
     succeeds_or_input_error(records_from_json, json.dumps(doc))
+
+
+@given(SPEC_FIELDS)
+@settings(max_examples=300)
+def test_genspec_fields(fields):
+    try:
+        spec = GenSpec(**fields)
+    except InputError:
+        return
+    for pair in (spec.p_range, spec.slack_range):
+        assert type(pair) is tuple and all(type(v) is int for v in pair)

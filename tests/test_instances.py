@@ -129,6 +129,17 @@ class TestGenSpec:
         with pytest.raises(InputError):
             GenSpec("arbitrary", slack_range=(3, 1))
 
+    @pytest.mark.parametrize("field", ["p_range", "slack_range"])
+    @pytest.mark.parametrize("value", [("a", 2), (1,), (1.5, 3), (True, 2), None, [1, 2, 3]])
+    def test_rejects_ranges_that_are_not_integer_pairs(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a pair of integers"):
+            GenSpec("arbitrary", n=3, **{field: value})
+
+    def test_stores_ranges_as_tuples(self):
+        spec = GenSpec("arbitrary", n=3, p_range=[1, 5], slack_range=[0, 7])
+        assert spec.p_range == (1, 5) and spec.slack_range == (0, 7)
+        assert isinstance(spec.p_range, tuple) and isinstance(spec.slack_range, tuple)
+
     @pytest.mark.parametrize(
         "family, n, k",
         [
