@@ -366,7 +366,7 @@ def records_from_json(text: str) -> list[BenchRecord]:
     """Parse a JSON report back into records (ratios are rederived)."""
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid report: {exc}") from None
     if not isinstance(rows, list):
         raise InputError("report must hold a JSON array")
@@ -510,7 +510,7 @@ def expand_sweep(doc: dict, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[Swe
 def load_sweep(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid sweep file: {exc}") from None
 
 

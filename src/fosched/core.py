@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import gt
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_TOTAL_WORK = 2**63 - 1
 
@@ -63,44 +65,98 @@ class Job:
         return self.d - self.p
 
 
-@dataclass(frozen=True)
+def _first_bad_job(p: Sequence[object], d: Sequence[object]) -> tuple[int, InputError] | None:
+    """Position and error of the first ``Job(p[i], d[i])`` that would be
+    rejected, or None when every pair is a valid job.
+
+    One bulk pass settles the common case of plain ints; only when it fails
+    does the per-job check run, so the error is the one ``Job`` raises.
+    """
+    plain_ints = {*map(type, p), *map(type, d)} <= {int}
+    if plain_ints and (not p or min(p) >= 1) and not any(map(gt, p, d)):
+        return None
+    for idx, pair in enumerate(zip(p, d)):
+        try:
+            Job(*pair)
+        except InputError as exc:
+            return idx, exc
+    return None
+
+
+def _require_name(name: object) -> None:
+    if name is not None and not isinstance(name, str):
+        raise InputError("instance name must be a string")
+
+
+@dataclass(frozen=True, init=False)
 class Instance:
     """An ordered job sequence; position is the fixed priority order.
 
-    The empty instance is legal: IO handles it and every solver maps it to
-    zero machines. ``name`` is identification metadata only and does not
-    participate in equality.
+    Job j has processing time ``p[j]`` and deadline ``d[j]``; both are
+    tuples of ints, checked once when the instance is built. ``jobs`` holds
+    the same data as ``Job`` values, built on first access for callers that
+    want them; no solver reads it. The empty instance is legal: IO handles
+    it and every solver maps it to zero machines. ``name`` is identification
+    metadata only and does not participate in equality.
     """
 
-    jobs: tuple[Job, ...]
+    p: tuple[int, ...]
+    d: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        if self.name is not None and not isinstance(self.name, str):
-            raise InputError("instance name must be a string")
-        total = 0
-        for job in self.jobs:
+    def __init__(self, jobs: Iterable[Job], name: str | None = None) -> None:
+        jobs = tuple(jobs)
+        _require_name(name)
+        for job in jobs:
             if not isinstance(job, Job):
                 raise InputError(f"expected a Job, got {job!r}")
-            total += job.p
-        if total > MAX_TOTAL_WORK:
+        self._fill(tuple(job.p for job in jobs), tuple(job.d for job in jobs), name)
+
+    def _fill(self, p: tuple[int, ...], d: tuple[int, ...], name: str | None) -> None:
+        # The one check every constructor runs: each job, then the name, then the work cap.
+        if len(p) != len(d):
+            raise InputError(f"{len(p)} processing times but {len(d)} deadlines")
+        bad = _first_bad_job(p, d)
+        if bad is not None:
+            raise bad[1]
+        _require_name(name)
+        if sum(p) > MAX_TOTAL_WORK:
             raise InputError("total processing time exceeds the 64-bit work cap")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "name", name)
+
+    @classmethod
+    def from_arrays(
+        cls, p: Iterable[int], d: Iterable[int], name: str | None = None
+    ) -> "Instance":
+        """The instance whose job j is ``(p[j], d[j])``."""
+        instance = cls.__new__(cls)
+        instance._fill(tuple(p), tuple(d), name)
+        return instance
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], name: str | None = None) -> "Instance":
-        return cls(tuple(Job(p, d) for p, d in pairs), name=name)
+        p, d = [], []
+        for pj, dj in pairs:
+            p.append(pj)
+            d.append(dj)
+        return cls.from_arrays(p, d, name)
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        return tuple(map(Job, self.p, self.d))
 
     @property
     def n(self) -> int:
-        return len(self.jobs)
+        return len(self.p)
 
     @property
     def total_work(self) -> int:
-        return sum(job.p for job in self.jobs)
+        return sum(self.p)
 
     def __len__(self) -> int:
-        return len(self.jobs)
+        return len(self.p)
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self.jobs)
@@ -128,6 +184,15 @@ class Schedule:
                 top = label
         if top and set(self.assignment) != set(range(1, top + 1)):
             raise InputError("machine labels must be contiguous 1..m")
+
+    @classmethod
+    def _trusted(cls, assignment: tuple[int, ...]) -> "Schedule":
+        """A solver's own labeling, stored unchecked: solvers emit
+        contiguous first-use labels by construction, and ``bench.run``
+        re-checks every schedule's feasibility."""
+        schedule = cls.__new__(cls)
+        object.__setattr__(schedule, "assignment", assignment)
+        return schedule
 
     @classmethod
     def from_assignment(cls, labels: Iterable[int]) -> "Schedule":
@@ -162,8 +227,8 @@ def completion_profile(instance: Instance, schedule: Schedule) -> CompletionProf
     _check_coverage(instance, schedule)
     acc: dict[int, int] = {}
     out = []
-    for job, machine in zip(instance.jobs, schedule.assignment):
-        finish = acc.get(machine, 0) + job.p
+    for pj, machine in zip(instance.p, schedule.assignment):
+        finish = acc.get(machine, 0) + pj
         acc[machine] = finish
         out.append(finish)
     return tuple(out)
@@ -177,9 +242,9 @@ def is_feasible(instance: Instance, schedule: Schedule) -> bool:
     """
     _check_coverage(instance, schedule)
     acc: dict[int, int] = {}
-    for job, machine in zip(instance.jobs, schedule.assignment):
-        finish = acc.get(machine, 0) + job.p
-        if finish > job.d:
+    for pj, dj, machine in zip(instance.p, instance.d, schedule.assignment):
+        finish = acc.get(machine, 0) + pj
+        if finish > dj:
             return False
         acc[machine] = finish
     return True
@@ -205,14 +270,14 @@ def instance_to_json(instance: Instance) -> str:
     doc: dict = {}
     if instance.name is not None:
         doc["name"] = instance.name
-    doc["jobs"] = [{"p": job.p, "d": job.d} for job in instance.jobs]
+    doc["jobs"] = [{"p": pj, "d": dj} for pj, dj in zip(instance.p, instance.d)]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid instance file: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")
@@ -221,15 +286,18 @@ def instance_from_json(text: str) -> Instance:
         raise InputError(f"unknown instance keys: {sorted(unknown)}")
     if "jobs" not in doc or not isinstance(doc["jobs"], list):
         raise InputError('instance file needs a "jobs" array')
-    jobs = []
+    p, d = [], []
     for idx, item in enumerate(doc["jobs"]):
         if not isinstance(item, dict) or set(item) != {"p", "d"}:
-            raise InputError(f"job {idx}: expected an object with exactly p and d")
-        try:
-            jobs.append(Job(item["p"], item["d"]))
-        except InputError as exc:
-            raise InputError(f"job {idx}: {exc}") from None
-    return Instance(tuple(jobs), name=doc.get("name"))
+            # a bad value before this item is the first error
+            bad = _first_bad_job(p, d) or (idx, "expected an object with exactly p and d")
+            raise InputError(f"job {bad[0]}: {bad[1]}")
+        p.append(item["p"])
+        d.append(item["d"])
+    bad = _first_bad_job(p, d)
+    if bad is not None:
+        raise InputError(f"job {bad[0]}: {bad[1]}")
+    return Instance.from_arrays(p, d, name=doc.get("name"))
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -252,7 +320,7 @@ def schedule_to_json(schedule: Schedule) -> str:
 def schedule_from_json(text: str) -> Schedule:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid schedule: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"machines", "assignment"}:
         raise InputError("schedule must hold exactly machines and assignment")

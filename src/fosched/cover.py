@@ -17,26 +17,26 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-from .core import Instance, Job, Schedule
+from .core import Instance, Schedule
 
 
-def build_table(jobs: Sequence[Job]) -> tuple[list[int], list[int]]:
+def build_table(p: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
     """Least completion times by subset size, and what each job improved.
 
     Returns ``(best, marks)``. ``best[k]`` is the least completion time of a
-    feasible k-subset of all the jobs, run back to back on one machine, so
-    ``len(best) - 1`` is the largest feasible size. Bit k of ``marks[i]`` is
-    set when job i strictly lowered ``best[k]``, i.e. the best k-subset of
-    jobs[0:i+1] ends with job i. A job ends a k-subset only when
-    ``best[k-1] + p <= d``, which bisect finds; k runs downward so each
+    feasible k-subset of the jobs ``(p[i], d[i])``, run back to back on one
+    machine, so ``len(best) - 1`` is the largest feasible size. Bit k of
+    ``marks[i]`` is set when job i strictly lowered ``best[k]``, i.e. the
+    best k-subset of jobs 0..i ends with job i. A job ends a k-subset only
+    when ``best[k-1] + p <= d``, which bisect finds; k runs downward so each
     update still reads the previous job's ``best[k-1]``.
     """
     best = [0]
     marks = []
-    for job in jobs:
+    for pj, dj in zip(p, d):
         mark = 0
-        for k in range(bisect_right(best, job.d - job.p), 0, -1):
-            ending_here = best[k - 1] + job.p
+        for k in range(bisect_right(best, dj - pj), 0, -1):
+            ending_here = best[k - 1] + pj
             if k == len(best):
                 best.append(ending_here)
             elif ending_here < best[k]:
@@ -80,17 +80,18 @@ def latest_starts(p: Sequence[int], d: Sequence[int]) -> list[list[int]]:
     return [[-start for start in row] for row in starts]
 
 
-def max_feasible_subset(jobs: Sequence[Job]) -> tuple[int, list[int]]:
-    """Size and 0-based positions of a largest single-machine subset.
+def max_feasible_subset(p: Sequence[int], d: Sequence[int]) -> tuple[int, list[int]]:
+    """Size and 0-based positions of a largest single-machine subset of the
+    jobs ``(p[i], d[i])``.
 
     Walks back from the last job, taking a job only when it ended the best
     subset of the remaining size, so ties leave jobs out and the picks are
     the latest-index choice among minimum-completion subsets.
     """
-    best, marks = build_table(jobs)
+    best, marks = build_table(p, d)
     k = len(best) - 1
     picks: list[int] = []
-    for i in range(len(jobs) - 1, -1, -1):
+    for i in range(len(p) - 1, -1, -1):
         if marks[i] >> k & 1:
             picks.append(i)
             k -= 1
@@ -104,14 +105,18 @@ def setcover_greedy(instance: Instance) -> Schedule:
     Terminates because a lone job always fits (d >= p), so every round
     schedules at least one job. Machines are relabeled to first-use order.
     """
+    p, d = instance.p, instance.d
     remaining = list(range(instance.n))
     labels = [0] * instance.n
     machine = 0
     while remaining:
         machine += 1
-        _, picks = max_feasible_subset([instance.jobs[t] for t in remaining])
+        _, picks = max_feasible_subset([p[t] for t in remaining], [d[t] for t in remaining])
         chosen = {remaining[t] for t in picks}
         for t in chosen:
             labels[t] = machine
         remaining = [t for t in remaining if t not in chosen]
-    return Schedule.from_assignment(labels)
+    first_use: dict[int, int] = {}
+    return Schedule._trusted(
+        tuple(first_use.setdefault(label, len(first_use) + 1) for label in labels)
+    )

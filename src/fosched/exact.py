@@ -99,8 +99,7 @@ def lower_bound(instance: Instance) -> int:
     """
     if instance.n == 0:
         return 0
-    p = [job.p for job in instance.jobs]
-    d = [job.d for job in instance.jobs]
+    p, d = instance.p, instance.d
     volume = work = 0
     for deadline, length in sorted(zip(d, p)):
         work += length
@@ -109,7 +108,7 @@ def lower_bound(instance: Instance) -> int:
 
 
 def _search(
-    p: list[int], d: list[int], machine_limit: int, budget: _Budget
+    p: Sequence[int], d: Sequence[int], machine_limit: int, budget: _Budget
 ) -> list[int] | None:
     """Assignment using at most machine_limit machines, or None.
 
@@ -210,19 +209,17 @@ def optimal(
     if instance.n > limit:
         raise CapacityError(f"instance has {instance.n} jobs, exact solver cap is {limit}")
     if instance.n == 0:
-        return Schedule(())
+        return Schedule._trusted(())
     seed = first_fit(instance)
     floor = lower_bound(instance)
     if seed.machine_count <= floor:
         return seed
-    p = [job.p for job in instance.jobs]
-    d = [job.d for job in instance.jobs]
     budget = _Budget(node_budget)
     try:
         for m in range(floor, seed.machine_count):
-            found = _search(p, d, m, budget)
+            found = _search(instance.p, instance.d, m, budget)
             if found is not None:
-                return Schedule(tuple(found))
+                return Schedule._trusted(tuple(found))
     except SearchBudgetError as exc:
         raise SearchBudgetError(str(exc), upper_bound=seed.machine_count) from None
     return seed

@@ -56,19 +56,17 @@ def first_fit(instance: Instance) -> Schedule:
 
 
 def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
-    jobs = instance.jobs
     # Min-load tree over `size` leaves; leaf size + i holds machine i+1's
     # load and unopened machines read 0. Before job j at most j < size
     # machines are open and slack >= 0, so when no open machine admits the
     # job the descent lands on the next fresh one.
     size = 1
-    while size < len(jobs):
+    while size < instance.n:
         size *= 2
     tree = [0] * (2 * size)  # inner node v: min of nodes 2v and 2v+1; root at 1
     assignment: list[int] = []
-    for job in jobs:
-        p = job.p
-        slack = job.d - p
+    for p, d in zip(instance.p, instance.d):
+        slack = d - p
         node = 1
         while node < size:  # leftmost leaf with load <= slack
             node *= 2
@@ -86,7 +84,7 @@ def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace
             if tree[node] == low:
                 break
             tree[node] = low
-    schedule = Schedule(tuple(assignment))
+    schedule = Schedule._trusted(tuple(assignment))
     return schedule, placement_trace(instance, schedule, "ff")
 
 
@@ -95,11 +93,11 @@ def next_fit(instance: Instance) -> Schedule:
     assignment: list[int] = []
     machines = 0
     load = 0  # of machine `machines`, the last one opened
-    for job in instance.jobs:
-        if machines and load + job.p <= job.d:
-            load += job.p
+    for p, d in zip(instance.p, instance.d):
+        if machines and load + p <= d:
+            load += p
         else:
             machines += 1
-            load = job.p
+            load = p
         assignment.append(machines)
-    return Schedule(tuple(assignment))
+    return Schedule._trusted(tuple(assignment))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from operator import add, ge, le, sub
 
-from .core import MAX_TOTAL_WORK, InputError, Instance, Job, _require_int
+from .core import MAX_TOTAL_WORK, InputError, Instance, _require_int
 
 
 class OrderClass(enum.Flag):
@@ -59,23 +60,26 @@ def parse_class_tokens(text: str) -> OrderClass:
 
 def classify(instance: Instance) -> OrderClass:
     """Flags for every structural property the job order satisfies."""
-    jobs = instance.jobs
+    p, d = instance.p, instance.d
+    slack = tuple(map(sub, d, p))
     flags = OrderClass.ARBITRARY
-    if all(job.p == 1 for job in jobs):
+    if all(pj == 1 for pj in p):
         flags |= OrderClass.UNIT_PROCESSING
-    if all(a.slack >= b.slack for a, b in zip(jobs, jobs[1:])):
+    if all(map(ge, slack, slack[1:])):
         flags |= OrderClass.SLACK_NONINCREASING
-    if all(a.slack <= b.slack for a, b in zip(jobs, jobs[1:])):
+    if all(map(le, slack, slack[1:])):
         flags |= OrderClass.SLACK_NONDECREASING
-    if all(a.d >= b.d for a, b in zip(jobs, jobs[1:])):
+    if all(map(ge, d, d[1:])):
         flags |= OrderClass.DEADLINE_NONINCREASING
-    if all(a.d <= b.d for a, b in zip(jobs, jobs[1:])):
+    if all(map(le, d, d[1:])):
         flags |= OrderClass.DEADLINE_NONDECREASING
     return flags
 
 
 # Most jobs one generated instance, or one whole sweep, may hold. Generated
-# instances live in memory together, at roughly 200 bytes per job.
+# instances live in memory together as two int tuples: 16 bytes per job
+# while deadlines stay below 257 (small ints are shared), about 40 beyond.
+# The instance being drawn briefly needs about 70 bytes per job more.
 MAX_JOBS = 1_000_000
 
 
@@ -108,15 +112,16 @@ def gen_nf_hard(n: int) -> Instance:
     """
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
-    jobs = [Job(1, 1), Job(2, 2)]
+    p, d = [1, 2], [1, 2]
     total = 3
     for _ in range(n - 2):
-        p = jobs[-1].p + jobs[-2].p
-        total += p
+        pj = p[-1] + p[-2]
+        total += pj
         if total > MAX_TOTAL_WORK:
             raise InputError(f"n={n} pushes total work past the 64-bit cap")
-        jobs.append(Job(p, p + jobs[-1].p - 1))
-    return Instance(tuple(jobs), name=f"nf-hard-n{n}")
+        d.append(pj + p[-1] - 1)
+        p.append(pj)
+    return Instance.from_arrays(p, d, name=f"nf-hard-n{n}")
 
 
 def gen_tight2(k: int) -> Instance:
@@ -130,12 +135,9 @@ def gen_tight2(k: int) -> Instance:
     if k < 1:
         raise InputError(f"family needs k >= 1, got {k}")
     _require_within_cap("tight-2", k=k)
-    jobs: list[Job] = []
-    for _ in range(k):
-        jobs.append(Job(k, 2 * k))
-        jobs.append(Job(1, k + 1))
-    jobs.extend(Job(k + 1, 2 * k + 1) for _ in range(k + 1))
-    return Instance(tuple(jobs), name=f"tight-2-k{k}")
+    p = (k, 1) * k + (k + 1,) * (k + 1)
+    d = (2 * k, k + 1) * k + (2 * k + 1,) * (k + 1)
+    return Instance.from_arrays(p, d, name=f"tight-2-k{k}")
 
 
 RANDOM_FAMILIES = (
@@ -204,8 +206,9 @@ def gen_random(spec: GenSpec) -> Instance:
         pairs.sort(key=lambda t: t[1])
     elif spec.family == "deadline-noninc":
         pairs.sort(key=lambda t: t[0] + t[1], reverse=True)
-    jobs = tuple(Job(p, p + s) for p, s in pairs)
-    return Instance(jobs, name=f"{spec.family}-n{spec.n}-s{spec.seed}")
+    p, slack = zip(*pairs) if pairs else ((), ())
+    name = f"{spec.family}-n{spec.n}-s{spec.seed}"
+    return Instance.from_arrays(p, map(add, p, slack), name=name)
 
 
 def generate(spec: GenSpec) -> Instance:

@@ -107,35 +107,36 @@ def max_subset_exhaustive(jobs, start: int = 0) -> int:
     return walk(0, start)
 
 
-def subset_dp_rows(jobs) -> list[list[float]]:
+def subset_dp_rows(p, d) -> list[list[float]]:
     """The full minimum-completion matrix over prefixes; inf marks infeasible.
 
     ``rows[i][k]`` is the least completion time of a feasible k-subset of
-    jobs[0:i] run back to back on one machine. Row 0 is the empty prefix and
-    every row has n+1 cells. The oracle for ``cover.build_table``.
+    the jobs ``(p[j], d[j])``, j < i, run back to back on one machine. Row 0
+    is the empty prefix and every row has n+1 cells. The oracle for
+    ``cover.build_table``.
     """
-    n = len(jobs)
+    n = len(p)
     rows = [[0] + [math.inf] * n]
-    for job in jobs:
+    for pj, dj in zip(p, d):
         prev = rows[-1]
         row = prev.copy()
         for k in range(1, len(rows) + 1):
-            ending_here = prev[k - 1] + job.p
-            if ending_here <= job.d and ending_here < row[k]:
+            ending_here = prev[k - 1] + pj
+            if ending_here <= dj and ending_here < row[k]:
                 row[k] = ending_here
         rows.append(row)
     return rows
 
 
-def max_feasible_subset_table(jobs) -> tuple[int, list[int]]:
+def max_feasible_subset_table(p, d) -> tuple[int, list[int]]:
     """``cover.max_feasible_subset`` by walking the full matrix.
 
     Takes the largest finite size in the last row, then walks up: where a
     cell equals the one above, the job is left out, so ties keep the
     latest-index choice among minimum-completion subsets.
     """
-    rows = subset_dp_rows(jobs)
-    i = len(jobs)
+    rows = subset_dp_rows(p, d)
+    i = len(p)
     k = max(size for size, value in enumerate(rows[i]) if value != math.inf)
     size = k
     picks: list[int] = []

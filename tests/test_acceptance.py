@@ -161,7 +161,7 @@ def test_c08_subset_dp_matches_exhaustive_enumeration():
     failures = []
     start = time.perf_counter()
     for inst in _C8_SWEEP:
-        k, picks = max_feasible_subset(inst.jobs)
+        k, picks = max_feasible_subset(inst.p, inst.d)
         expected = max_subset_exhaustive(inst.jobs)
         if k != expected or len(picks) != k:
             failures.append((inst.name, k, expected))

@@ -354,6 +354,23 @@ def test_jobs_below_one_is_one_input_error_line(tmp_path, capsys, monkeypatch, j
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_deeply_nested_json_is_one_input_error_line(tmp_path, capsys, command):
+    deep, out = tmp_path / "deep.json", tmp_path / "r.csv"
+    deep.write_text("[" * 200_000)
+    argv = {
+        "run": ["run", "--algo", "ff", "--input", str(deep)],
+        "bench": ["bench", "--sweep", str(deep), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: invalid ")
+    assert "recursion" in err[0]
+    assert not out.exists()
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "fosched", "gen", "--family", "nf-hard", "--n", "4"],

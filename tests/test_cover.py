@@ -9,7 +9,6 @@ import fosched.cover as cover_module
 from fosched.cover import latest_starts
 from fosched import (
     Instance,
-    Job,
     build_table,
     gen_tight2,
     is_feasible,
@@ -28,14 +27,14 @@ from helpers import (
 
 class TestDpTable:
     def test_boundaries(self):
-        best, marks = build_table(NF_HARD_5.jobs)
+        best, marks = build_table(NF_HARD_5.p, NF_HARD_5.d)
         assert best[0] == 0
         assert len(marks) == NF_HARD_5.n
-        assert build_table(()) == ([0], [])
+        assert build_table((), ()) == ([0], [])
 
     def test_growth_family_values(self):
         # minimum completions: one job -> 1, odds {1,3} -> 4, odds {1,3,5} -> 12
-        best, marks = build_table(NF_HARD_5.jobs)
+        best, marks = build_table(NF_HARD_5.p, NF_HARD_5.d)
         assert best == [0, 1, 4, 12]
         # each odd job opens the next size; the even ones improve nothing
         assert marks == [0b10, 0, 0b100, 0, 0b1000]
@@ -43,22 +42,22 @@ class TestDpTable:
     @given(instances_st(max_n=10))
     @settings(max_examples=80)
     def test_best_is_strictly_increasing(self, instance):
-        best, _ = build_table(instance.jobs)
+        best, _ = build_table(instance.p, instance.d)
         assert all(a < b for a, b in zip(best, best[1:]))
 
     @given(instances_st(max_n=10))
     @settings(max_examples=80)
     def test_best_matches_the_oracle_last_row(self, instance):
-        best, _ = build_table(instance.jobs)
-        last = subset_dp_rows(instance.jobs)[-1]
+        best, _ = build_table(instance.p, instance.d)
+        last = subset_dp_rows(instance.p, instance.d)[-1]
         assert best == last[: len(best)]
         assert all(value == math.inf for value in last[len(best) :])
 
     @given(instances_st(max_n=9))
     @settings(max_examples=60)
     def test_marks_are_the_oracle_strict_improvements(self, instance):
-        _, marks = build_table(instance.jobs)
-        rows = subset_dp_rows(instance.jobs)
+        _, marks = build_table(instance.p, instance.d)
+        rows = subset_dp_rows(instance.p, instance.d)
         for i, mark in enumerate(marks):
             improved = {k for k in range(1, len(rows[0])) if rows[i + 1][k] < rows[i][k]}
             assert {k for k in range(mark.bit_length()) if mark >> k & 1} == improved
@@ -66,42 +65,42 @@ class TestDpTable:
     @given(instances_st(max_n=10))
     @settings(max_examples=80)
     def test_longest_feasible_size_matches_exhaustive(self, instance):
-        best, _ = build_table(instance.jobs)
+        best, _ = build_table(instance.p, instance.d)
         assert len(best) - 1 == max_subset_exhaustive(instance.jobs)
 
     @given(instances_st(max_n=9))
     @settings(max_examples=60)
     def test_every_prefix_pick_is_realizable(self, instance):
         for i in range(instance.n + 1):
-            prefix = instance.jobs[:i]
-            best, _ = build_table(prefix)
-            k, picks = max_feasible_subset(prefix)
+            p, d = instance.p[:i], instance.d[:i]
+            best, _ = build_table(p, d)
+            k, picks = max_feasible_subset(p, d)
             assert len(picks) == k == len(best) - 1
             completion = 0
             for idx in picks:
-                completion += prefix[idx].p
-                assert completion <= prefix[idx].d
+                completion += p[idx]
+                assert completion <= d[idx]
             assert completion == best[k]
 
 
 class TestMaxFeasibleSubset:
     def test_zero_slack_pair_keeps_only_the_first(self):
         # both fit alone; on ties the walk prefers dropping the later job
-        assert max_feasible_subset((Job(1, 1), Job(2, 2))) == (1, [0])
+        assert max_feasible_subset((1, 2), (1, 2)) == (1, [0])
 
     def test_growth_family_picks_odd_positions(self):
-        assert max_feasible_subset(NF_HARD_5.jobs) == (3, [0, 2, 4])
+        assert max_feasible_subset(NF_HARD_5.p, NF_HARD_5.d) == (3, [0, 2, 4])
 
     def test_single(self):
-        assert max_feasible_subset((Job(2, 2),)) == (1, [0])
+        assert max_feasible_subset((2,), (2,)) == (1, [0])
 
     def test_empty(self):
-        assert max_feasible_subset(()) == (0, [])
+        assert max_feasible_subset((), ()) == (0, [])
 
     @given(instances_st(max_n=10))
     @settings(max_examples=80)
     def test_matches_exhaustive_enumeration(self, instance):
-        k, picks = max_feasible_subset(instance.jobs)
+        k, picks = max_feasible_subset(instance.p, instance.d)
         assert k == max_subset_exhaustive(instance.jobs)
         assert len(picks) == k
 
@@ -114,13 +113,13 @@ class TestMaxFeasibleSubset:
                 p = rng.randint(1, 9)
                 pairs.append((p, p + rng.randint(0, 12)))
             inst = Instance.from_pairs(pairs)
-            k, _ = max_feasible_subset(inst.jobs)
+            k, _ = max_feasible_subset(inst.p, inst.d)
             assert k == max_subset_exhaustive(inst.jobs)
 
     @given(instances_st(max_n=14, max_slack=20))
     @settings(max_examples=200)
     def test_picks_match_the_table_walk(self, instance):
-        assert max_feasible_subset(instance.jobs) == max_feasible_subset_table(instance.jobs)
+        assert max_feasible_subset(instance.p, instance.d) == max_feasible_subset_table(instance.p, instance.d)
 
     def test_picks_match_the_table_walk_seeded(self):
         rng = random.Random(14)
@@ -130,8 +129,8 @@ class TestMaxFeasibleSubset:
             for _ in range(n):
                 p = rng.randint(1, rng.choice((1, 3, 9)))
                 pairs.append((p, p + rng.randint(0, rng.choice((0, 2, 10, 60)))))
-            jobs = Instance.from_pairs(pairs).jobs
-            assert max_feasible_subset(jobs) == max_feasible_subset_table(jobs), pairs
+            inst = Instance.from_pairs(pairs)
+            assert max_feasible_subset(inst.p, inst.d) == max_feasible_subset_table(inst.p, inst.d), pairs
 
 
 def _kmax(table: list[list[int]], j: int, load: int) -> int:
@@ -143,9 +142,7 @@ class TestLatestStarts:
         # jobs (1,1),(2,2),(3,4),(5,7),(8,12): (8,12) alone starts by 4,
         # (3,4) then (8,12) by 1, three odd-position jobs only at 0, and no
         # four fit on one machine
-        p = [job.p for job in NF_HARD_5.jobs]
-        d = [job.d for job in NF_HARD_5.jobs]
-        table = latest_starts(p, d)
+        table = latest_starts(NF_HARD_5.p, NF_HARD_5.d)
         assert table[0] == [-4, -1, 0]
         assert table[3] == table[4] == [-4] and table[5] == []
 
@@ -160,17 +157,17 @@ class TestLatestStarts:
     @given(instances_st(max_n=12, max_slack=20))
     @settings(max_examples=150)
     def test_unloaded_machine_matches_the_forward_dp(self, instance):
-        jobs = instance.jobs
-        table = latest_starts([job.p for job in jobs], [job.d for job in jobs])
-        assert len(table) == len(jobs) + 1
-        for j in range(len(jobs) + 1):
-            assert _kmax(table, j, 0) == len(table[j]) == max_feasible_subset(jobs[j:])[0]
+        p, d = instance.p, instance.d
+        table = latest_starts(p, d)
+        assert len(table) == instance.n + 1
+        for j in range(instance.n + 1):
+            assert _kmax(table, j, 0) == len(table[j]) == max_feasible_subset(p[j:], d[j:])[0]
 
     @given(instances_st(max_n=9, max_slack=20))
     @settings(max_examples=120)
     def test_loaded_machine_matches_enumeration(self, instance):
         jobs = instance.jobs
-        table = latest_starts([job.p for job in jobs], [job.d for job in jobs])
+        table = latest_starts(instance.p, instance.d)
         for j in range(len(jobs) + 1):
             for load in range(0, 32, 3):
                 assert _kmax(table, j, load) == max_subset_exhaustive(jobs[j:], load)
@@ -212,7 +209,7 @@ class TestSetCoverGreedy:
     @given(instances_st(max_n=10))
     @settings(max_examples=60)
     def test_single_machine_instances_get_one_machine(self, instance):
-        k, _ = max_feasible_subset(instance.jobs)
+        k, _ = max_feasible_subset(instance.p, instance.d)
         if k == instance.n and instance.n > 0:
             assert setcover_greedy(instance).machine_count == 1
 

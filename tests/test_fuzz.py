@@ -10,6 +10,7 @@ that does expand stays small.
 import json
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from fosched import (
@@ -20,6 +21,7 @@ from fosched import (
     InputError,
     expand_sweep,
     instance_from_json,
+    load_sweep,
     records_from_json,
     schedule_from_json,
 )
@@ -137,3 +139,14 @@ def test_genspec_fields(fields):
         return
     for pair in (spec.p_range, spec.slack_range):
         assert type(pair) is tuple and all(type(v) is int for v in pair)
+
+
+@pytest.mark.parametrize("parse", [instance_from_json, schedule_from_json, records_from_json, "sweep"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, parse):
+    text = "[" * 200_000
+    if parse == "sweep":
+        path = tmp_path / "sweep.json"
+        path.write_text(text)
+        parse, text = load_sweep, path
+    with pytest.raises(InputError, match="recursion"):
+        parse(text)

@@ -64,10 +64,11 @@ class TestTight2Family:
     def test_rejects_k_above_the_job_cap_before_building(self, monkeypatch, k):
         assert k >= 333_334
 
-        def refuse(*args):
-            raise AssertionError("built a job")
+        class Refuse:
+            def from_arrays(*args, **kwargs):
+                raise AssertionError("built an instance")
 
-        monkeypatch.setattr(instances_module, "Job", refuse)
+        monkeypatch.setattr(instances_module, "Instance", Refuse)
         with pytest.raises(InputError, match="above the cap"):
             gen_tight2(k)
 
