@@ -11,7 +11,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -405,9 +404,9 @@ def records_from_json(text: str) -> list[BenchRecord]:
 # Random entries expand to `count` instances seeded seed, seed+1, ...
 # Entries may override "algorithms". "opt" is dropped automatically for
 # instances larger than the oracle cap. A sweep may generate at most MAX_JOBS
-# jobs in all. Every entry's fields, and the job count against the cap, are
-# checked before any instance is generated; the nf-hard and tight-2 limits
-# on n and k are checked by their generators.
+# jobs in all. Every entry's fields, including the nf-hard and tight-2 limits
+# on n and k, and the job count against the cap, are checked before any
+# instance is generated.
 
 SweepTask = tuple[str, Instance, tuple[str, ...]]
 
@@ -469,6 +468,12 @@ def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, GenSpec]]]:
             jobs = _sum_at_least(lo, hi, 1)
         else:
             jobs = 3 * _sum_at_least(lo, hi, 0) + max(0, hi - lo + 1)  # 3k+1 each
+        # The family's limits on n and k are intervals, so the range's two end
+        # specs check all of it. Like GenSpec, size comes first: an entry above
+        # the job cap is left to the sweep's cap check.
+        if lo <= hi and jobs <= MAX_JOBS:
+            for end in (lo, hi):
+                GenSpec(family, **{key: end})
         specs = ((f"{family}-{key}{v}", GenSpec(family, **{key: v})) for v in range(lo, hi + 1))
         return jobs, specs
     count = _count(entry)
@@ -537,5 +542,8 @@ def run_sweep(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(t) for t in tasks]
+    # Imported here: the pool pulls in multiprocessing, which serial runs never use.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))

@@ -4,6 +4,14 @@ Random generation uses the standard library's ``random.Random`` (the
 MT19937 Mersenne Twister). Given the same 64-bit seed it reproduces the same
 draw sequence on every platform, which is what the benchmark formats rely on
 for byte-identical reruns.
+
+A value drawn uniformly from ``[lo, hi]`` is ``lo + r``, where, with
+``w = hi - lo + 1`` and ``k = w.bit_length()``, ``r`` is the first result
+of ``getrandbits(k)`` below ``w``. That is the computation CPython's
+``randint`` performs, so instances are the ones ``randint`` draws, but the
+stream depends only on ``getrandbits``, not on how ``random.py`` implements
+``randint``. Each random instance draws, job by job, p (except in the unit
+family, where p is 1) and then its slack.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import random
 from dataclasses import dataclass
 from operator import add, ge, le, sub
 
-from .core import MAX_TOTAL_WORK, InputError, Instance, _require_int
+from .core import InputError, Instance, _require_int
 
 
 class OrderClass(enum.Flag):
@@ -95,11 +103,23 @@ def _int_pair(value: object, what: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
-def _require_within_cap(family: str, n: int = 0, k: int = 0) -> None:
-    """Reject a family instance above MAX_JOBS jobs (tight-2 holds 3k+1)."""
+# The largest nf-hard n whose total work stays within core.MAX_TOTAL_WORK.
+NF_HARD_MAX_N = 89
+
+
+def _require_family_limits(family: str, n: int = 0, k: int = 0) -> None:
+    """Reject a family instance above MAX_JOBS jobs (tight-2 holds 3k+1),
+    then an n or k that nf-hard or tight-2 cannot build."""
     jobs = 3 * k + 1 if family == "tight-2" else n
     if jobs > MAX_JOBS:
         raise InputError(f"{family} instance would hold {jobs} jobs, above the cap of {MAX_JOBS}")
+    if family == "nf-hard":
+        if n < 3:
+            raise InputError(f"family needs n >= 3, got {n}")
+        if n > NF_HARD_MAX_N:
+            raise InputError(f"n={n} pushes total work past the 64-bit cap")
+    elif family == "tight-2" and k < 1:
+        raise InputError(f"family needs k >= 1, got {k}")
 
 
 def gen_nf_hard(n: int) -> Instance:
@@ -110,15 +130,10 @@ def gen_nf_hard(n: int) -> Instance:
     job exactly on top of the one two positions back, never on top of its
     predecessor. Total work must stay within the 64-bit cap (n <= 89).
     """
-    if n < 3:
-        raise InputError(f"family needs n >= 3, got {n}")
+    _require_family_limits("nf-hard", n=n)
     p, d = [1, 2], [1, 2]
-    total = 3
     for _ in range(n - 2):
         pj = p[-1] + p[-2]
-        total += pj
-        if total > MAX_TOTAL_WORK:
-            raise InputError(f"n={n} pushes total work past the 64-bit cap")
         d.append(pj + p[-1] - 1)
         p.append(pj)
     return Instance.from_arrays(p, d, name=f"nf-hard-n{n}")
@@ -132,9 +147,7 @@ def gen_tight2(k: int) -> Instance:
     the k+1 closing jobs (k+1, 2k+1) needs a fresh machine. n = 3k+1, which
     may not exceed MAX_JOBS.
     """
-    if k < 1:
-        raise InputError(f"family needs k >= 1, got {k}")
-    _require_within_cap("tight-2", k=k)
+    _require_family_limits("tight-2", k=k)
     p = (k, 1) * k + (k + 1,) * (k + 1)
     d = (2 * k, k + 1) * k + (2 * k + 1,) * (k + 1)
     return Instance.from_arrays(p, d, name=f"tight-2-k{k}")
@@ -153,11 +166,12 @@ FAMILIES = ("nf-hard", "tight-2") + RANDOM_FAMILIES
 class GenSpec:
     """Everything needed to regenerate an instance deterministically.
 
-    ``n`` sizes the random families and nf-hard; ``k`` parameterizes
-    tight-2, which has 3k+1 jobs. No spec may ask for more than MAX_JOBS
-    jobs. Processing times are drawn uniformly from ``p_range`` and
-    deadlines are p plus a uniform draw from ``slack_range``; both ranges
-    must be pairs of integers and are stored as tuples.
+    ``n`` sizes the random families and nf-hard (3 <= n <= 89); ``k``
+    parameterizes tight-2 (k >= 1), which has 3k+1 jobs. No spec may ask
+    for more than MAX_JOBS jobs. Processing times are drawn uniformly from
+    ``p_range`` and deadlines are p plus a uniform draw from
+    ``slack_range``; both ranges must be pairs of integers and are stored
+    as tuples.
     """
 
     family: str
@@ -178,7 +192,7 @@ class GenSpec:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n < 0:
             raise InputError(f"n must be >= 0, got {self.n}")
-        _require_within_cap(self.family, self.n, self.k)
+        _require_family_limits(self.family, self.n, self.k)
         (p_lo, p_hi), (s_lo, s_hi) = self.p_range, self.slack_range
         if p_lo < 1 or p_hi < p_lo:
             raise InputError(f"bad processing range {self.p_range}")
@@ -189,26 +203,42 @@ class GenSpec:
 def gen_random(spec: GenSpec) -> Instance:
     """Draw a random instance for one of the random families.
 
-    Draws (p, slack) pairs with MT19937, then stable-sorts them into the
-    family's order, so ties keep their draw order and a seed pins the
-    instance exactly.
+    Draws (p, slack) pairs with MT19937, as the module docstring defines,
+    then stable-sorts them into the family's order, so ties keep their draw
+    order and a seed pins the instance exactly.
     """
     if spec.family not in RANDOM_FAMILIES:
         raise InputError(f"{spec.family!r} is not a random family")
-    rng = random.Random(spec.seed)
-    pairs = []
+    bits = random.Random(spec.seed).getrandbits
+    (p_lo, p_hi), (s_lo, s_hi) = spec.p_range, spec.slack_range
+    p_w, s_w = p_hi - p_lo + 1, s_hi - s_lo + 1
+    p_k, s_k = p_w.bit_length(), s_w.bit_length()
+    unit = spec.family == "unit"
+    p = [1] * spec.n if unit else []
+    slack = []
+    # Inline rejection sampling: a helper call per draw would cost more than the draw.
     for _ in range(spec.n):
-        p = 1 if spec.family == "unit" else rng.randint(*spec.p_range)
-        pairs.append((p, rng.randint(*spec.slack_range)))
+        if not unit:
+            r = bits(p_k)
+            while r >= p_w:
+                r = bits(p_k)
+            p.append(p_lo + r)
+        r = bits(s_k)
+        while r >= s_w:
+            r = bits(s_k)
+        slack.append(s_lo + r)
+    d = list(map(add, p, slack))
+    order = None
     if spec.family == "slack-noninc":
-        pairs.sort(key=lambda t: t[1], reverse=True)
+        order = sorted(range(spec.n), key=slack.__getitem__, reverse=True)
     elif spec.family == "slack-nondec":
-        pairs.sort(key=lambda t: t[1])
+        order = sorted(range(spec.n), key=slack.__getitem__)
     elif spec.family == "deadline-noninc":
-        pairs.sort(key=lambda t: t[0] + t[1], reverse=True)
-    p, slack = zip(*pairs) if pairs else ((), ())
+        order = sorted(range(spec.n), key=d.__getitem__, reverse=True)
+    if order is not None:
+        p, d = map(p.__getitem__, order), map(d.__getitem__, order)
     name = f"{spec.family}-n{spec.n}-s{spec.seed}"
-    return Instance.from_arrays(p, map(add, p, slack), name=name)
+    return Instance.from_arrays(p, d, name=name)
 
 
 def generate(spec: GenSpec) -> Instance:

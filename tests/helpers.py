@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import math
+import random
 
 import hypothesis.strategies as st
 
-from fosched import CapacityError, Instance, Job, PlacementTrace, Schedule, first_fit, is_feasible
+from fosched import (
+    RANDOM_FAMILIES,
+    CapacityError,
+    GenSpec,
+    InputError,
+    Instance,
+    Job,
+    PlacementTrace,
+    Schedule,
+    first_fit,
+    is_feasible,
+)
 
 # Alternating-growth family at n=5: [(1,1),(2,2),(3,4),(5,7),(8,12)].
 NF_HARD_5 = Instance.from_pairs([(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)])
@@ -275,3 +287,28 @@ def optimal_unpruned(instance: Instance) -> Schedule:
         if found is not None:
             return Schedule(tuple(found))
     return seed
+
+
+def gen_random_randint(spec: GenSpec) -> Instance:
+    """A random family instance drawn with ``random.Random.randint``.
+
+    The oracle for ``instances.gen_random``, which inlines the same
+    rejection sampling on ``getrandbits``: one randint per p (none in the
+    unit family) and per slack, job by job, then a stable sort of the
+    (p, slack) pairs into the family's order.
+    """
+    if spec.family not in RANDOM_FAMILIES:
+        raise InputError(f"{spec.family!r} is not a random family")
+    rng = random.Random(spec.seed)
+    pairs = []
+    for _ in range(spec.n):
+        p = 1 if spec.family == "unit" else rng.randint(*spec.p_range)
+        pairs.append((p, rng.randint(*spec.slack_range)))
+    if spec.family == "slack-noninc":
+        pairs.sort(key=lambda t: t[1], reverse=True)
+    elif spec.family == "slack-nondec":
+        pairs.sort(key=lambda t: t[1])
+    elif spec.family == "deadline-noninc":
+        pairs.sort(key=lambda t: t[0] + t[1], reverse=True)
+    name = f"{spec.family}-n{spec.n}-s{spec.seed}"
+    return Instance.from_pairs(((p, p + slack) for p, slack in pairs), name=name)

@@ -1,5 +1,10 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +409,26 @@ class TestSweeps:
         with pytest.raises(InputError):
             expand_sweep({"sweeps": entries})
 
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ({"family": "nf-hard", "n_range": [3, 100]}, "n=100 pushes total work past the 64-bit cap"),
+            ({"family": "nf-hard", "n_range": [2, 5]}, "family needs n >= 3, got 2"),
+            ({"family": "nf-hard", "n": 2}, "family needs n >= 3, got 2"),
+            ({"family": "tight-2", "k_range": [0, 3]}, "family needs k >= 1, got 0"),
+            ({"family": "tight-2", "k": 0}, "family needs k >= 1, got 0"),
+        ],
+    )
+    def test_family_limits_are_checked_before_generating(self, monkeypatch, last, message):
+        def refuse(*args):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(bench_module, "generate", refuse)
+        monkeypatch.setattr(bench_module, "gen_random", refuse)
+        entries = [{"family": "arbitrary", "n": 1000, "count": 990}, last]
+        with pytest.raises(InputError, match=f"^{message}$"):
+            expand_sweep({"sweeps": entries})
+
     def test_sweep_at_the_job_cap_is_accepted(self, monkeypatch):
         monkeypatch.setattr(bench_module, "generate", lambda spec: Instance(()))
         doc = {"algorithms": ["ff"], "sweeps": [{"family": "arbitrary", "n": 100_000, "count": 10}]}
@@ -454,6 +479,19 @@ class TestSweeps:
         assert [key(r) for r in serial] == [key(r) for r in parallel]
         assert serial[0].ff == 2 and serial[0].nf == 3 and serial[0].opt == 2
 
+    def test_importing_fosched_leaves_the_process_pool_unloaded(self):
+        src = str(Path(bench_module.__file__).parents[1])
+        code = "import sys, fosched; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize(
         "jobs, cpus, tasks, expected",
         [(1000, 3, 5, [3]), (4, 8, 5, [4]), (32, 64, 3, [3]), (64, None, 5, []), (32, 64, 1, [])],
@@ -474,7 +512,7 @@ class TestSweeps:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench_module, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(bench_module.os, "cpu_count", lambda: cpus)
         doc = {"algorithms": ["ff"], "sweeps": [{"family": "nf-hard", "n_range": [3, 2 + tasks]}]}
         records = run_sweep(expand_sweep(doc), jobs=jobs)

@@ -1,10 +1,12 @@
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import fosched.instances as instances_module
 from fosched import (
     MAX_JOBS,
     MAX_TOTAL_WORK,
+    RANDOM_FAMILIES,
     GenSpec,
     InputError,
     Instance,
@@ -19,7 +21,7 @@ from fosched import (
     instance_to_json,
     parse_class_tokens,
 )
-from helpers import instances_st
+from helpers import gen_random_randint, instances_st
 
 
 class TestNfHardFamily:
@@ -36,7 +38,8 @@ class TestNfHardFamily:
             gen_nf_hard(2)
 
     def test_work_cap_boundary(self):
-        assert gen_nf_hard(89).total_work <= MAX_TOTAL_WORK
+        p = gen_nf_hard(89).p
+        assert sum(p) <= MAX_TOTAL_WORK < sum(p) + p[-1] + p[-2]  # job 90 would cross the cap
         with pytest.raises(InputError):
             gen_nf_hard(90)
 
@@ -155,6 +158,18 @@ class TestGenSpec:
         with pytest.raises(InputError, match="above the cap"):
             GenSpec(family, n=n, k=k)
 
+    @pytest.mark.parametrize(
+        "family, n, k, message",
+        [
+            ("nf-hard", 2, 0, "family needs n >= 3, got 2"),
+            ("nf-hard", 90, 0, "n=90 pushes total work past the 64-bit cap"),
+            ("tight-2", 0, 0, "family needs k >= 1, got 0"),
+        ],
+    )
+    def test_checks_the_family_limits(self, family, n, k, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            GenSpec(family, n=n, k=k)
+
     def test_accepts_instances_at_the_job_cap(self):
         # the spec alone generates nothing
         GenSpec("arbitrary", n=MAX_JOBS)
@@ -201,6 +216,40 @@ class TestGenRandom:
         inst = gen_random(GenSpec("arbitrary", n=40, seed=8, p_range=(2, 4), slack_range=(1, 3)))
         assert all(2 <= job.p <= 4 for job in inst)
         assert all(1 <= job.slack <= 3 for job in inst)
+
+
+# Range widths where rejection sampling differs: 1 (one bit, half rejected),
+# powers of two (half rejected), around 2**32 (one or two 32-bit words) and
+# above 2**64 (three or more words).
+WIDTHS = st.sampled_from([1, 2, 8, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64, 2**64 + 5, 2**70])
+
+
+@st.composite
+def ranges_st(draw, low: int):
+    lo = draw(st.integers(low, low + 20) | st.integers(low, 2**66))
+    width = draw(WIDTHS | st.integers(1, 2**72))
+    return lo, lo + width - 1
+
+
+@given(
+    family=st.sampled_from(RANDOM_FAMILIES),
+    n=st.integers(0, 60),
+    seed=st.integers(0, 2**64 - 1),
+    p_range=ranges_st(1),
+    slack_range=ranges_st(0),
+)
+@settings(max_examples=400)
+def test_gen_random_draws_what_randint_draws(family, n, seed, p_range, slack_range):
+    spec = GenSpec(family, n=n, seed=seed, p_range=p_range, slack_range=slack_range)
+    try:
+        expected = gen_random_randint(spec)
+    except InputError as exc:  # the work cap
+        with pytest.raises(InputError) as info:
+            gen_random(spec)
+        assert str(info.value) == str(exc)
+        return
+    got = gen_random(spec)
+    assert (got.p, got.d, got.name) == (expected.p, expected.d, expected.name)
 
 
 class TestFileRoundTrip:
