@@ -47,7 +47,6 @@ from .instances import (
     gen_random,
     gen_tight2,
     generate,
-    parse_class_tokens,
 )
 from .bench import (
     ALGORITHMS,
@@ -65,7 +64,6 @@ from .bench import (
     evaluate,
     expand_sweep,
     load_sweep,
-    records_from_json,
     report_row,
     run,
     run_sweep,

@@ -32,7 +32,6 @@ from .instances import (
     classify,
     gen_random,
     generate,
-    parse_class_tokens,
 )
 
 ALGORITHMS = ("ff", "nf", "cover", "opt")
@@ -359,37 +358,6 @@ def emit_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
         rows = [dict(zip(REPORT_COLUMNS, report_row(r))) for r in records]
         return json.dumps(rows, indent=2) + "\n"
     raise InputError(f"unknown report format {fmt!r}")
-
-
-def records_from_json(text: str) -> list[BenchRecord]:
-    """Parse a JSON report back into records (ratios are rederived)."""
-    try:
-        rows = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"invalid report: {exc}") from None
-    if not isinstance(rows, list):
-        raise InputError("report must hold a JSON array")
-    records = []
-    for row in rows:
-        if not isinstance(row, dict):
-            raise InputError("report rows must be objects")
-        missing = {"id", "n", "classes"} - set(row)
-        if missing:
-            raise InputError(f"report row missing keys {sorted(missing)}")
-        if not isinstance(row["classes"], str):
-            raise InputError(f"report classes must be a string, got {row['classes']!r}")
-        if _require_int(row["n"], "report n") < 0:
-            raise InputError(f"report n must be >= 0, got {row['n']}")
-        fields = {key: row.get(key) for key in (*ALGORITHMS, *_TIMINGS)}
-        for key in ALGORITHMS:
-            if fields[key] is not None:
-                _require_int(fields[key], f"report {key} count")
-        for key in _TIMINGS:
-            value = fields[key]
-            if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
-                raise InputError(f"report {key} must be a number, got {value!r}")
-        records.append(BenchRecord(row["id"], row["n"], parse_class_tokens(row["classes"]), **fields))
-    return records
 
 
 # --- sweeps -----------------------------------------------------------------

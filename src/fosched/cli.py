@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 bound or threshold violation,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -129,12 +130,13 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:
-        sys.stdout.write("algorithm,machines,ms,assignment,error\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes a comma in an error
+        writer.writerow(("algorithm", "machines", "ms", "assignment", "error"))
         for row in rows:
-            assignment = "" if row["assignment"] is None else " ".join(map(str, row["assignment"]))
-            machines = "" if row["machines"] is None else row["machines"]
-            error = row["error"] or ""
-            sys.stdout.write(f"{row['algorithm']},{machines},{row['ms']},{assignment},{error}\n")
+            labels = row["assignment"]
+            assignment = None if labels is None else " ".join(map(str, labels))
+            cells = (row["algorithm"], row["machines"], row["ms"], assignment, row["error"])
+            writer.writerow(cells)
         if args.trace:
             for row in rows:
                 for step in row.get("trace", ()):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import gt
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_TOTAL_WORK = 2**63 - 1
 
@@ -92,30 +92,22 @@ def _require_name(name: object) -> None:
 class Instance:
     """An ordered job sequence; position is the fixed priority order.
 
-    Job j has processing time ``p[j]`` and deadline ``d[j]``; both are
-    tuples of ints, checked once when the instance is built. ``jobs`` holds
-    the same data as ``Job`` values, built on first access for callers that
-    want them; no solver reads it. The empty instance is legal: IO handles
-    it and every solver maps it to zero machines. ``name`` is identification
-    metadata only and does not participate in equality.
+    Job j has processing time ``p[j]`` and deadline ``d[j]``. ``Instance(p,
+    d)`` takes any two iterables, checks every job once and stores tuples of
+    ints. ``jobs`` holds the same data as ``Job`` values, built on first
+    access; no solver reads it. The empty instance is legal. ``name`` is
+    identification metadata only and does not participate in equality.
     """
 
     p: tuple[int, ...]
     d: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
 
-    def __init__(self, jobs: Iterable[Job], name: str | None = None) -> None:
-        jobs = tuple(jobs)
-        _require_name(name)
-        for job in jobs:
-            if not isinstance(job, Job):
-                raise InputError(f"expected a Job, got {job!r}")
-        self._fill(tuple(job.p for job in jobs), tuple(job.d for job in jobs), name)
-
-    def _fill(self, p: tuple[int, ...], d: tuple[int, ...], name: str | None) -> None:
-        # The one check every constructor runs: each job, then the name, then the work cap.
+    def __init__(self, p: Iterable[int], d: Iterable[int], name: str | None = None) -> None:
+        p, d = tuple(p), tuple(d)
         if len(p) != len(d):
             raise InputError(f"{len(p)} processing times but {len(d)} deadlines")
+        # Each job, then the name, then the work cap: the first error a per-job check meets.
         bad = _first_bad_job(p, d)
         if bad is not None:
             raise bad[1]
@@ -127,21 +119,12 @@ class Instance:
         object.__setattr__(self, "name", name)
 
     @classmethod
-    def from_arrays(
-        cls, p: Iterable[int], d: Iterable[int], name: str | None = None
-    ) -> "Instance":
-        """The instance whose job j is ``(p[j], d[j])``."""
-        instance = cls.__new__(cls)
-        instance._fill(tuple(p), tuple(d), name)
-        return instance
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], name: str | None = None) -> "Instance":
         p, d = [], []
         for pj, dj in pairs:
             p.append(pj)
             d.append(dj)
-        return cls.from_arrays(p, d, name)
+        return cls(p, d, name)
 
     @cached_property
     def jobs(self) -> tuple[Job, ...]:
@@ -157,9 +140,6 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self.p)
-
-    def __iter__(self) -> Iterator[Job]:
-        return iter(self.jobs)
 
 
 @dataclass(frozen=True)
@@ -182,7 +162,8 @@ class Schedule:
                 raise InputError(f"machine labels are 1-based, got {label}")
             if label > top:
                 top = label
-        if top and set(self.assignment) != set(range(1, top + 1)):
+        # every label is in 1..top, so they are contiguous iff top of them are distinct
+        if len(set(self.assignment)) != top:
             raise InputError("machine labels must be contiguous 1..m")
 
     @classmethod
@@ -297,7 +278,7 @@ def instance_from_json(text: str) -> Instance:
     bad = _first_bad_job(p, d)
     if bad is not None:
         raise InputError(f"job {bad[0]}: {bad[1]}")
-    return Instance.from_arrays(p, d, name=doc.get("name"))
+    return Instance(p, d, name=doc.get("name"))
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -54,18 +54,6 @@ def class_tokens(flags: OrderClass) -> str:
     return "|".join(parts) if parts else "arbitrary"
 
 
-def parse_class_tokens(text: str) -> OrderClass:
-    lookup = {token: flag for flag, token in _CLASS_TOKENS}
-    flags = OrderClass.ARBITRARY
-    if text == "arbitrary":
-        return flags
-    for part in text.split("|"):
-        if part not in lookup:
-            raise InputError(f"unknown order class token {part!r}")
-        flags |= lookup[part]
-    return flags
-
-
 def classify(instance: Instance) -> OrderClass:
     """Flags for every structural property the job order satisfies."""
     p, d = instance.p, instance.d
@@ -136,7 +124,7 @@ def gen_nf_hard(n: int) -> Instance:
         pj = p[-1] + p[-2]
         d.append(pj + p[-1] - 1)
         p.append(pj)
-    return Instance.from_arrays(p, d, name=f"nf-hard-n{n}")
+    return Instance(p, d, name=f"nf-hard-n{n}")
 
 
 def gen_tight2(k: int) -> Instance:
@@ -150,7 +138,7 @@ def gen_tight2(k: int) -> Instance:
     _require_family_limits("tight-2", k=k)
     p = (k, 1) * k + (k + 1,) * (k + 1)
     d = (2 * k, k + 1) * k + (2 * k + 1,) * (k + 1)
-    return Instance.from_arrays(p, d, name=f"tight-2-k{k}")
+    return Instance(p, d, name=f"tight-2-k{k}")
 
 
 RANDOM_FAMILIES = (
@@ -238,7 +226,7 @@ def gen_random(spec: GenSpec) -> Instance:
     if order is not None:
         p, d = map(p.__getitem__, order), map(d.__getitem__, order)
     name = f"{spec.family}-n{spec.n}-s{spec.seed}"
-    return Instance.from_arrays(p, d, name=name)
+    return Instance(p, d, name=name)
 
 
 def generate(spec: GenSpec) -> Instance:

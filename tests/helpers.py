@@ -13,7 +13,6 @@ from fosched import (
     GenSpec,
     InputError,
     Instance,
-    Job,
     PlacementTrace,
     Schedule,
     first_fit,
@@ -27,15 +26,15 @@ NF_HARD_5_OPT = Schedule((1, 2, 1, 2, 1))
 
 
 @st.composite
-def jobs_st(draw, max_p: int = 8, max_slack: int = 10):
+def pairs_st(draw, max_p: int = 8, max_slack: int = 10):
     p = draw(st.integers(1, max_p))
-    return Job(p, p + draw(st.integers(0, max_slack)))
+    return p, p + draw(st.integers(0, max_slack))
 
 
 @st.composite
 def instances_st(draw, max_n: int = 10, max_p: int = 8, max_slack: int = 10):
-    jobs = draw(st.lists(jobs_st(max_p=max_p, max_slack=max_slack), max_size=max_n))
-    return Instance(tuple(jobs))
+    pairs = draw(st.lists(pairs_st(max_p=max_p, max_slack=max_slack), max_size=max_n))
+    return Instance.from_pairs(pairs)
 
 
 @st.composite

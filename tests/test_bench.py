@@ -28,7 +28,6 @@ from fosched import (
     expand_sweep,
     gen_tight2,
     is_feasible,
-    records_from_json,
     run,
     run_sweep,
 )
@@ -49,7 +48,7 @@ class TestRun:
         assert [r.algorithm for r in reports] == ["ff", "nf", "cover", "opt"]
 
     def test_empty_instance_all_zero(self):
-        reports = run(Instance(()), ("ff", "nf", "cover", "opt"))
+        reports = run(Instance((), ()), ("ff", "nf", "cover", "opt"))
         assert all(r.machine_count == 0 for r in reports)
 
     def test_tight2_counts(self):
@@ -109,7 +108,7 @@ class TestEvaluate:
         assert record.opt is None and record.ratio("ff") is None
 
     def test_ratios_absent_for_empty_instance(self):
-        record = evaluate(Instance(()), "empty")
+        record = evaluate(Instance((), ()), "empty")
         assert record.opt == 0 and record.ratio("ff") is None
 
     @given(instances_st(max_n=8))
@@ -128,7 +127,7 @@ class TestAssertBounds:
         assert assert_bounds(record) == []
 
     def test_real_records_are_clean(self):
-        for inst in (NF_HARD_5, Instance.from_pairs([(1, 1)] * 3), Instance(())):
+        for inst in (NF_HARD_5, Instance.from_pairs([(1, 1)] * 3), Instance((), ())):
             assert assert_bounds(evaluate(inst, "i")) == []
 
     def test_checks_opt_free_bounds_without_opt(self):
@@ -268,36 +267,6 @@ class TestReports:
         assert cells[7] == "1.666667"
         assert cells[9] == ""  # no cover count, no cover ratio
 
-    def test_json_round_trip(self):
-        records = [
-            evaluate(gen_tight2(2), "a"),
-            evaluate(NF_HARD_5, "b", ("ff", "nf")),
-            evaluate(Instance(()), "c"),
-        ]
-        assert records_from_json(emit_report(records, "json")) == records
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '[{"n": 1, "classes": "arbitrary"}]',
-            '[{"id": "a", "classes": "arbitrary"}]',
-            '[{"id": "a", "n": 1}]',
-            '[{"id": "a", "n": 1, "classes": 5}]',
-            '[{"id": "a", "n": "x", "classes": "arbitrary", "cover": 2, "opt": 1}]',
-            '[{"id": "a", "n": true, "classes": "arbitrary"}]',
-            '[{"id": "a", "n": -1, "classes": "arbitrary"}]',
-            '[{"id": "a", "n": 1.0, "classes": "arbitrary"}]',
-            '[{"id": "a", "n": 1, "classes": "arbitrary", "ff": true}]',
-            '[{"id": "a", "n": 1, "classes": "arbitrary", "opt": 1.5}]',
-            '[{"id": "a", "n": 1, "classes": "arbitrary", "nf": "2"}]',
-            '[{"id": "a", "n": 1, "classes": "arbitrary", "ms_ff": "0.1"}]',
-            '[{"id": "a", "n": 1, "classes": "arbitrary", "ms_opt": false}]',
-        ],
-    )
-    def test_json_rejects_malformed_rows(self, text):
-        with pytest.raises(InputError):
-            records_from_json(text)
-
     def test_unknown_format(self):
         with pytest.raises(InputError):
             emit_report([], "xml")
@@ -430,7 +399,7 @@ class TestSweeps:
             expand_sweep({"sweeps": entries})
 
     def test_sweep_at_the_job_cap_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(bench_module, "generate", lambda spec: Instance(()))
+        monkeypatch.setattr(bench_module, "generate", lambda spec: Instance((), ()))
         doc = {"algorithms": ["ff"], "sweeps": [{"family": "arbitrary", "n": 100_000, "count": 10}]}
         assert len(expand_sweep(doc)) == 10
 

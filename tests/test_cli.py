@@ -59,6 +59,16 @@ class TestRun:
         assert lines[0] == "algorithm,machines,ms,assignment,error"
         assert lines[1].startswith("ff,2,")
 
+    def test_csv_quotes_an_error_holding_a_comma(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FOSCHED_ORACLE_CAP", raising=False)
+        path = tmp_path / "big.json"
+        save_instance(Instance.from_pairs([(1, 100)] * 21), path)
+        assert main(["run", "--algo", "opt", "--input", str(path), "--format", "csv"]) == 1
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["algorithm", "machines", "ms", "assignment", "error"]
+        assert all(len(row) == 5 for row in rows)
+        assert rows[1][4] == "instance has 21 jobs, exact solver cap is 20"
+
     def test_trace_rows(self, nf_hard_file, capsys):
         assert main(["run", "--algo", "ff", "--input", nf_hard_file, "--trace"]) == 0
         rows = json.loads(capsys.readouterr().out)

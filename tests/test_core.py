@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -40,7 +41,7 @@ class TestJob:
 
 class TestInstance:
     def test_empty_is_legal(self):
-        inst = Instance(())
+        inst = Instance((), ())
         assert inst.n == 0 and inst.total_work == 0
 
     def test_name_is_metadata_only(self):
@@ -50,13 +51,43 @@ class TestInstance:
 
     def test_total_work_cap(self):
         big = 2**62
-        Instance((Job(big, big), Job(big - 1, big)))  # exactly at the cap
+        Instance((big, big - 1), (big, big))  # exactly at the cap
         with pytest.raises(InputError):
-            Instance((Job(big, big), Job(big, big)))
+            Instance((big, big), (big, big))
 
-    def test_rejects_non_jobs(self):
-        with pytest.raises(InputError):
-            Instance(((1, 2),))
+    @pytest.mark.parametrize(
+        "p,d",
+        [
+            ((0,), (1,)),
+            ((-1,), (2,)),
+            ((3,), (2,)),
+            ((1,), (0,)),
+            ((1.5,), (3,)),
+            ((1,), (2.0,)),
+            ((True,), (2,)),
+            ((1,), ("3",)),
+            ((1, 2, 0), (1, 5, 5)),
+            ((1, (1, 2)), (2, 3)),
+        ],
+    )
+    def test_rejects_a_bad_job_with_the_message_job_gives(self, p, d):
+        idx = next(i for i, pair in enumerate(zip(p, d)) if _job_error(*pair))
+        with pytest.raises(InputError) as caught:
+            Instance(p, d)
+        assert str(caught.value) == _job_error(p[idx], d[idx])
+
+    @pytest.mark.parametrize("name", [7, b"x", ["x"]])
+    def test_rejects_a_name_that_is_not_a_string(self, name):
+        with pytest.raises(InputError, match="instance name must be a string"):
+            Instance((1,), (1,), name=name)
+
+
+def _job_error(p, d) -> str | None:
+    try:
+        Job(p, d)
+    except InputError as exc:
+        return str(exc)
+    return None
 
 
 class TestSchedule:
@@ -71,6 +102,16 @@ class TestSchedule:
             Schedule((0,))
         with pytest.raises(InputError):
             Schedule((2,))
+
+    def test_contiguity_check_costs_memory_by_n_not_by_the_top_label(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="machine labels must be contiguous 1..m"):
+                Schedule((3_000_000,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_from_assignment_relabels_first_use(self):
         assert Schedule.from_assignment([2, 1, 2]).assignment == (1, 2, 1)
@@ -109,7 +150,7 @@ class TestCompletionProfile:
         assert completion_profile(NF_HARD_5, NF_HARD_5_OPT) == (1, 2, 4, 7, 12)
 
     def test_empty(self):
-        assert completion_profile(Instance(()), Schedule(())) == ()
+        assert completion_profile(Instance((), ()), Schedule(())) == ()
 
     def test_shared_machine_accumulates(self):
         inst = Instance.from_pairs([(1, 1), (1, 2)])
@@ -169,7 +210,7 @@ class TestInstanceIO:
         assert again == inst and again.name is None
 
     def test_empty_instance(self):
-        assert instance_from_json(instance_to_json(Instance(()))).n == 0
+        assert instance_from_json(instance_to_json(Instance((), ()))).n == 0
 
     @pytest.mark.parametrize(
         "text",
@@ -186,6 +227,11 @@ class TestInstanceIO:
             '{"jobs": [], "extra": 1}',
             '{"jobs": [], "name": 7}',
             '{"name": "x"}',
+            '{"jobs": [1]}',
+            '{"jobs": [{"p": -1, "d": 2}]}',
+            '{"jobs": [{"p": "1", "d": 2}]}',
+            '{"jobs": [{"p": 1, "d": 2.0}]}',
+            '{"jobs": [{"p": 1, "d": false}]}',
         ],
     )
     def test_rejects_malformed_documents(self, text):
@@ -218,6 +264,12 @@ class TestScheduleIO:
             '{"machines": 1, "assignment": [1, 3]}',
             '{"machines": 1, "assignment": "1"}',
             '{"machines": true, "assignment": [1]}',
+            "[]",
+            '{"machines": 1.0, "assignment": [1]}',
+            '{"machines": "1", "assignment": [1]}',
+            '{"machines": 1, "assignment": [0]}',
+            '{"machines": 1, "assignment": [true]}',
+            '{"machines": 1, "assignment": [1.0]}',
         ],
     )
     def test_rejects_malformed_documents(self, text):

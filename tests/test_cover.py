@@ -182,7 +182,7 @@ class TestSetCoverGreedy:
         assert setcover_greedy(Instance.from_pairs([(5, 6)])).machine_count == 1
 
     def test_empty(self):
-        assert setcover_greedy(Instance(())).machine_count == 0
+        assert setcover_greedy(Instance((), ())).machine_count == 0
 
     @given(instances_st(max_n=14, max_slack=20))
     @settings(max_examples=100)

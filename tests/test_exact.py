@@ -69,7 +69,7 @@ class TestOptimalExamples:
         assert optimal(Instance.from_pairs([(1, 1), (2, 2)])).machine_count == 2
 
     def test_empty(self):
-        assert optimal(Instance(())).machine_count == 0
+        assert optimal(Instance((), ())).machine_count == 0
 
     def test_returns_feasible_schedule(self):
         for inst in (NF_HARD_5, gen_tight2(2)):
@@ -91,7 +91,7 @@ class TestBruteForceExamples:
         assert optimal_count_bruteforce(gen_tight2(2)) == 3
 
     def test_empty(self):
-        assert optimal_count_bruteforce(Instance(())) == 0
+        assert optimal_count_bruteforce(Instance((), ())) == 0
 
 
 class TestAgreement:
@@ -211,7 +211,7 @@ class TestDeepeningSoundness:
             assert found is not None and is_feasible(inst, found)
 
     def test_zero_machines(self):
-        assert _search_with(Instance(()), 0) == Schedule(())
+        assert _search_with(Instance((), ()), 0) == Schedule(())
         assert _search_with(NF_HARD_5, 0) is None
 
 
@@ -243,7 +243,7 @@ class TestCapsAndBudgets:
     def test_generous_budget_succeeds(self):
         assert optimal(gen_tight2(2), node_budget=10**6).machine_count == 3
 
-    @pytest.mark.parametrize("instance", [gen_tight2(2), Instance(())])
+    @pytest.mark.parametrize("instance", [gen_tight2(2), Instance((), ())])
     def test_negative_budget_is_input_error_before_searching(self, monkeypatch, instance):
         def refuse(*args):
             raise AssertionError("searched")

@@ -1,4 +1,4 @@
-"""Arbitrary JSON through the four parsers, and junk GenSpec fields: each
+"""Arbitrary JSON through the three parsers, and junk GenSpec fields: each
 succeeds or raises InputError.
 
 Documents are built from the parsers' real keys, families, algorithm names
@@ -16,13 +16,12 @@ from hypothesis import given, settings
 from fosched import (
     ALGORITHMS,
     FAMILIES,
-    REPORT_COLUMNS,
     GenSpec,
     InputError,
     expand_sweep,
     instance_from_json,
+    load_instance,
     load_sweep,
-    records_from_json,
     schedule_from_json,
 )
 
@@ -77,16 +76,6 @@ SWEEP = mostly(objects({"sweeps": st.lists(ENTRY, max_size=3), "algorithms": ALG
 JOB = objects({"p": INTS, "d": INTS})
 INSTANCE = mostly(objects({"name": WORDS, "jobs": st.lists(JOB, max_size=4)}))
 SCHEDULE = mostly(objects({"machines": INTS, "assignment": st.lists(st.integers(-1, 4), max_size=5)}))
-ROW = objects(
-    {
-        "id": WORDS,
-        "n": INTS,
-        "classes": st.sampled_from(("arbitrary", "unit", "unit|slack-noninc", "deadline-nondec")),
-        **{a: st.none() | INTS for a in ALGORITHMS},
-        **{c: st.none() | st.floats(0, 30) for c in REPORT_COLUMNS if c.startswith(("ratio_", "ms_"))},
-    }
-)
-REPORT = mostly(st.lists(ROW, max_size=3))
 SPEC_FIELDS = st.fixed_dictionaries(
     {
         "family": mostly(st.sampled_from(FAMILIES)),
@@ -124,12 +113,6 @@ def test_sweep_parser(doc):
     succeeds_or_input_error(expand_sweep, json.loads(json.dumps(doc)))
 
 
-@given(REPORT)
-@settings(max_examples=200)
-def test_report_parser(doc):
-    succeeds_or_input_error(records_from_json, json.dumps(doc))
-
-
 @given(SPEC_FIELDS)
 @settings(max_examples=300)
 def test_genspec_fields(fields):
@@ -141,12 +124,14 @@ def test_genspec_fields(fields):
         assert type(pair) is tuple and all(type(v) is int for v in pair)
 
 
-@pytest.mark.parametrize("parse", [instance_from_json, schedule_from_json, records_from_json, "sweep"])
+@pytest.mark.parametrize(
+    "parse", [instance_from_json, schedule_from_json, "instance file", "sweep"]
+)
 def test_deeply_nested_json_is_an_input_error(tmp_path, parse):
     text = "[" * 200_000
-    if parse == "sweep":
-        path = tmp_path / "sweep.json"
+    if parse in ("instance file", "sweep"):
+        path = tmp_path / "doc.json"
         path.write_text(text)
-        parse, text = load_sweep, path
+        parse, text = (load_instance if parse == "instance file" else load_sweep), path
     with pytest.raises(InputError, match="recursion"):
         parse(text)

@@ -52,7 +52,7 @@ class TestFirstFitExamples:
         assert first_fit(inst).assignment == (1, 2, 1, 2)
 
     def test_empty(self):
-        assert first_fit(Instance(())).machine_count == 0
+        assert first_fit(Instance((), ())).machine_count == 0
 
 
 class TestNextFitExamples:
@@ -63,7 +63,7 @@ class TestNextFitExamples:
         assert next_fit(Instance.from_pairs([(1, 3)] * 3)).assignment == (1, 1, 1)
 
     def test_empty(self):
-        assert next_fit(Instance(())).machine_count == 0
+        assert next_fit(Instance((), ())).machine_count == 0
 
 
 class TestTraces:
@@ -131,7 +131,7 @@ class TestPlacementTrace:
             placement_trace(NF_HARD_5, Schedule((1, 2)), "ff")
 
     def test_empty(self):
-        assert placement_trace(Instance(()), Schedule(()), "nf") == ()
+        assert placement_trace(Instance((), ()), Schedule(()), "nf") == ()
 
 
 @given(instances_st())
@@ -148,14 +148,15 @@ def test_first_fit_never_beaten_by_next_fit(instance):
 @given(instances_st(max_n=12), st.integers(0, 12))
 def test_prefix_consistency(instance, cut):
     cut = min(cut, instance.n)
-    prefix = Instance(instance.jobs[:cut])
+    prefix = Instance(instance.p[:cut], instance.d[:cut])
     assert first_fit(prefix).assignment == first_fit(instance).assignment[:cut]
     assert next_fit(prefix).assignment == next_fit(instance).assignment[:cut]
 
 
 @given(instances_st(max_n=12))
 def test_nonincreasing_slack_makes_first_and_next_fit_identical(instance):
-    ordered = Instance(tuple(sorted(instance.jobs, key=lambda j: -j.slack)))
+    by_slack = sorted(zip(instance.p, instance.d), key=lambda pd: pd[1] - pd[0], reverse=True)
+    ordered = Instance.from_pairs(by_slack)
     assert first_fit(ordered).assignment == next_fit(ordered).assignment
 
 

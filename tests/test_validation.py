@@ -76,14 +76,6 @@ def error_of(build) -> str | None:
     return None
 
 
-def forged_job(p, d) -> Job:
-    """A Job holding (p, d) even where ``Job(p, d)`` would refuse them."""
-    job = object.__new__(Job)
-    object.__setattr__(job, "p", p)
-    object.__setattr__(job, "d", d)
-    return job
-
-
 def assert_holds(instance: Instance, pairs, name) -> None:
     assert instance.p == tuple(p for p, _ in pairs)
     assert instance.d == tuple(d for _, d in pairs)
@@ -102,31 +94,14 @@ def test_from_pairs_matches_job_by_job(pairs, name):
 
 @given(PAIRS, NAMES)
 @settings(max_examples=250)
-def test_from_arrays_matches_job_by_job(pairs, name):
+def test_instance_matches_job_by_job(pairs, name):
     p, d = [p for p, _ in pairs], [d for _, d in pairs]
     expected = job_by_job(pairs, name)
-    assert error_of(lambda: Instance.from_arrays(p, d, name)) == expected
+    assert error_of(lambda: Instance(p, d, name)) == expected
+    assert error_of(lambda: Instance(iter(p), iter(d), name)) == expected
     if expected is None:
-        assert_holds(Instance.from_arrays(p, d, name), pairs, name)
-
-
-@given(PAIRS, NAMES, st.lists(st.sampled_from([(1, 2), 3, None]), max_size=2), st.randoms())
-@settings(max_examples=300)
-def test_instance_from_jobs_matches_job_by_job(pairs, name, strays, rng):
-    # Jobs holding bad values are forged, so the instance's own check must
-    # catch them; items that are no Job at all are refused before any value.
-    items = [forged_job(p, d) for p, d in pairs]
-    for stray in strays:
-        items.insert(rng.randint(0, len(items)), stray)
-    if name is not None and not isinstance(name, str):
-        expected = "instance name must be a string"
-    elif strays:
-        expected = f"expected a Job, got {next(i for i in items if not isinstance(i, Job))!r}"
-    else:
-        expected = job_by_job(pairs)
-    assert error_of(lambda: Instance(items, name=name)) == expected
-    if expected is None:
-        assert_holds(Instance(items, name=name), pairs, name)
+        assert_holds(Instance(p, d, name), pairs, name)
+        assert_holds(Instance(iter(p), iter(d), name), pairs, name)
 
 
 JSON_JOBS = st.lists(
@@ -181,7 +156,7 @@ def test_the_work_cap_is_checked_after_every_job():
 
 
 def test_arrays_of_different_lengths_are_refused():
-    assert error_of(lambda: Instance.from_arrays((1, 2), (1,))) == (
+    assert error_of(lambda: Instance((1, 2), (1,))) == (
         "2 processing times but 1 deadlines"
     )
 
@@ -189,8 +164,8 @@ def test_arrays_of_different_lengths_are_refused():
 @given(instances_st(max_n=6), st.text(max_size=3), st.text(max_size=3))
 @settings(max_examples=100)
 def test_equality_and_hash_ignore_the_name_and_pickle_keeps_it(instance, a, b):
-    named_a = Instance.from_arrays(instance.p, instance.d, a)
-    named_b = Instance.from_arrays(instance.p, instance.d, b)
+    named_a = Instance(instance.p, instance.d, a)
+    named_b = Instance(instance.p, instance.d, b)
     assert named_a == named_b == instance
     assert hash(named_a) == hash(named_b) == hash(instance)
     again = pickle.loads(pickle.dumps(named_a))
