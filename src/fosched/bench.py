@@ -347,11 +347,19 @@ def report_row(record: BenchRecord) -> list:
 
 
 def emit_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
-    """Render records as CSV or JSON, rows in input order."""
+    """Render records as CSV or JSON, rows in input order.
+
+    Of the CSV cells only the id is free text. It is quoted as ``csv.writer``
+    quotes it: when it holds a comma, a quote or a line break, with quotes
+    doubled.
+    """
     if fmt == "csv":
         lines = [",".join(REPORT_COLUMNS)]
         for record in records:
             cells = ["" if v is None else str(v) for v in report_row(record)]
+            name = cells[0]
+            if "," in name or '"' in name or "\n" in name or "\r" in name:
+                cells[0] = '"' + name.replace('"', '""') + '"'
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     if fmt == "json":

@@ -6,15 +6,16 @@ exists, so the first success is optimal. The root bound is the larger of a
 threshold-volume bound and a conflict clique (``lower_bound``). Every search
 node is pruned by a cardinality bound from a backward Lawler–Moore table
 (``cover.latest_starts``) and by the conflict clique of the jobs no open
-machine can take. The solver is capped at n <= 20 by default (override via
-the ``limit`` argument, up to MAX_ORACLE_CAP).
+machine can take. Closed machines, those no remaining job fits on, enter
+the memo key by their number alone. The solver is capped at n <= 20 by
+default (override via the ``limit`` argument, up to MAX_ORACLE_CAP).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import InputError, Instance, Schedule
 from .cover import latest_starts
@@ -35,11 +36,17 @@ class SearchBudgetError(RuntimeError):
 
     ``upper_bound`` carries the best machine count known to be achievable
     (None when no feasible schedule was computed before the failure).
+    ``lower_bound`` carries the machine count being searched when the budget
+    ran out: every smaller count was proven infeasible (None when the failure
+    came from outside ``optimal``'s deepening).
     """
 
-    def __init__(self, message: str, upper_bound: int | None = None):
+    def __init__(
+        self, message: str, upper_bound: int | None = None, lower_bound: int | None = None
+    ):
         super().__init__(message)
         self.upper_bound = upper_bound
+        self.lower_bound = lower_bound
 
 
 class _Budget:
@@ -107,88 +114,120 @@ def lower_bound(instance: Instance) -> int:
     return max(volume, suffix_cliques(p, [dj - pj for pj, dj in zip(p, d)])[0])
 
 
-def _search(
-    p: Sequence[int], d: Sequence[int], machine_limit: int, budget: _Budget
-) -> list[int] | None:
-    """Assignment using at most machine_limit machines, or None.
+def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list[int] | None]:
+    """The exact search over the jobs (p[j], d[j]), called once per machine limit.
 
-    Jobs are placed in order, so machines are labeled in first-use order by
-    construction. States that failed once are memoized by (next job, sorted
-    load multiset); machines with equal loads are interchangeable and only
-    the first is branched on. Children are explored in ascending load order
-    with the fresh-machine branch last.
+    Everything no limit changes is built here, once per instance, and shared
+    by the deepening levels: the slacks, the backward Lawler–Moore table
+    (``cover.latest_starts``), the clique cache and ``dead``, where
+    ``dead[j]`` is one more than the largest slack of jobs j..n-1. A machine
+    loaded to ``dead[j]`` or more is closed: no remaining job fits on it.
 
-    Two sound prunes fail a state, into the memo, before it branches:
+    ``level(machine_limit, budget)`` returns an assignment using at most
+    machine_limit machines, or None. Jobs are placed in order, so machines
+    are labeled in first-use order by construction. The loads stay sorted as
+    the search goes, ties by label, with the labels in a parallel list, so no
+    node sorts. Children are the lowest-labeled machine of each distinct load
+    that fits, in ascending load order (machines with equal loads are
+    interchangeable), then a fresh machine.
+
+    States that failed once are memoized by (next job, closed machines, open
+    loads): a closed machine's future does not depend on its load, so its
+    load leaves the key. Two sound prunes fail a state, into the memo,
+    before it branches:
     - cardinality: a machine loaded to L takes at most kmax(j, L) of the
-      remaining jobs j..n-1 (``cover.latest_starts``), so the open machines
-      plus the unopened ones, kmax(j, 0) each, must cover n - j jobs;
+      remaining jobs j..n-1 (0 once closed), so the open machines plus the
+      unopened ones, kmax(j, 0) each, must cover n - j jobs;
     - conflict clique: loads only grow, so a remaining job whose slack is
-      below the least open load must go on a machine not yet open, and a
-      clique of such jobs needs one machine each.
-    Both only cut subtrees without a feasible leaf, so the first feasible
-    leaf, and the assignment returned, is the one the plain search finds.
+      below the least open load (every remaining job, when none is open)
+      must go on a machine not yet open, and a clique of such jobs needs one
+      machine each.
+    The memo and both prunes only cut subtrees without a feasible leaf, so
+    the first feasible leaf, and the assignment returned, is the one the
+    plain search finds.
     """
     n = len(p)
     slack = [dj - pj for pj, dj in zip(p, d)]
     slack_values = sorted(set(slack))
     starts = latest_starts(p, d)
     cliques: dict[int, list[int]] = {}
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-    loads: list[int] = []
-    assignment: list[int] = []
+    dead = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        dead[j] = max(dead[j + 1], slack[j] + 1)
 
-    def doomed(j: int, sorted_loads: tuple[int, ...]) -> bool:
-        spare = machine_limit - len(sorted_loads)
-        if spare >= n - j:
-            return False  # one fresh machine per remaining job
-        row = starts[j]
-        room = spare * len(row)
-        for load in sorted_loads:
-            room += bisect_right(row, -load)
-        if room < n - j:
-            return True
-        least = sorted_loads[0] if sorted_loads else math.inf
-        # the cliques depend on the least load only through which slacks lie below it
-        rank = bisect_left(slack_values, least)
-        below = cliques.get(rank)
-        if below is None:
-            below = cliques[rank] = suffix_cliques(p, slack, least)
-        return below[j] > spare
+    def level(machine_limit: int, budget: _Budget) -> list[int] | None:
+        failed: set[tuple[int, int, tuple[int, ...]]] = set()
+        loads: list[int] = []  # ascending, ties by label
+        labels: list[int] = []
+        assignment: list[int] = []
 
-    def dfs(j: int) -> bool:
-        budget.spend()
-        if j == n:
-            return True
-        key = (j, tuple(sorted(loads)))
-        if key in failed:
-            return False
-        if doomed(*key):
-            failed.add(key)
-            return False
-        pj, dj = p[j], d[j]
-        last_load = -1
-        for load, i in sorted((load, i) for i, load in enumerate(loads)):
-            if load == last_load:
-                continue
-            last_load = load
-            if load + pj <= dj:
-                loads[i] = load + pj
-                assignment.append(i + 1)
+        def doomed(j: int, live: tuple[int, ...]) -> bool:
+            spare = machine_limit - len(loads)
+            if spare >= n - j:
+                return False  # one fresh machine per remaining job
+            row = starts[j]
+            room = spare * len(row)
+            for load in live:
+                room += bisect_right(row, -load)
+            if room < n - j:
+                return True
+            least = live[0] if live else math.inf
+            # the cliques depend on the least load only through which slacks lie below it
+            rank = bisect_left(slack_values, least)
+            below = cliques.get(rank)
+            if below is None:
+                below = cliques[rank] = suffix_cliques(p, slack, least)
+            return below[j] > spare
+
+        def dfs(j: int) -> bool:
+            budget.spend()
+            if j == n:
+                return True
+            live = tuple(loads[: bisect_left(loads, dead[j])])
+            key = (j, len(loads) - len(live), live)
+            if key in failed:
+                return False
+            if doomed(j, live):
+                failed.add(key)
+                return False
+            pj = p[j]
+            last_load = -1
+            for i in range(bisect_right(loads, slack[j])):
+                load = loads[i]
+                if load == last_load:
+                    continue
+                last_load = load
+                label = labels[i]
+                del loads[i], labels[i]
+                grown = load + pj
+                k = bisect_left(loads, grown, i)
+                while k < len(loads) and loads[k] == grown and labels[k] < label:
+                    k += 1
+                loads.insert(k, grown)
+                labels.insert(k, label)
+                assignment.append(label)
                 if dfs(j + 1):
                     return True
-                loads[i] = load
                 assignment.pop()
-        if len(loads) < machine_limit:
-            loads.append(pj)
-            assignment.append(len(loads))
-            if dfs(j + 1):
-                return True
-            loads.pop()
-            assignment.pop()
-        failed.add(key)
-        return False
+                del loads[k], labels[k]
+                loads.insert(i, load)
+                labels.insert(i, label)
+            if len(loads) < machine_limit:
+                label = len(loads) + 1
+                k = bisect_right(loads, pj)
+                loads.insert(k, pj)
+                labels.insert(k, label)
+                assignment.append(label)
+                if dfs(j + 1):
+                    return True
+                assignment.pop()
+                del loads[k], labels[k]
+            failed.add(key)
+            return False
 
-    return assignment if dfs(0) else None
+        return assignment if dfs(0) else None
+
+    return level
 
 
 def optimal(
@@ -198,8 +237,9 @@ def optimal(
 
     Deterministic given the instance. ``limit`` overrides the default size
     cap, up to MAX_ORACLE_CAP; ``node_budget`` bounds total search nodes
-    across all deepening levels and raises SearchBudgetError (carrying the
-    first-fit machine count as the best known upper bound) when exhausted.
+    across all deepening levels and raises SearchBudgetError when exhausted,
+    carrying the first-fit machine count as the best known upper bound and
+    the level being searched as a lower bound.
     A negative budget or a limit above MAX_ORACLE_CAP is an InputError.
     """
     if node_budget is not None and node_budget < 0:
@@ -215,11 +255,14 @@ def optimal(
     if seed.machine_count <= floor:
         return seed
     budget = _Budget(node_budget)
-    try:
-        for m in range(floor, seed.machine_count):
-            found = _search(instance.p, instance.d, m, budget)
-            if found is not None:
-                return Schedule._trusted(tuple(found))
-    except SearchBudgetError as exc:
-        raise SearchBudgetError(str(exc), upper_bound=seed.machine_count) from None
+    search = _search(instance.p, instance.d)
+    for m in range(floor, seed.machine_count):
+        try:
+            found = search(m, budget)
+        except SearchBudgetError as exc:
+            raise SearchBudgetError(
+                str(exc), upper_bound=seed.machine_count, lower_bound=m
+            ) from None
+        if found is not None:
+            return Schedule._trusted(tuple(found))
     return seed

@@ -215,11 +215,13 @@ def optimal_count_bruteforce(instance: Instance) -> int:
 
 
 def search_unpruned(p: list[int], d: list[int], machine_limit: int) -> list[int] | None:
-    """``exact._search`` without its cardinality and clique prunes.
+    """One level of ``exact._search`` without its prunes or its closed-machine clamp.
 
-    Same memo (next job, sorted loads), same branching on the first machine
-    of each distinct load in ascending load order, fresh machine last, so it
-    reaches the same first feasible leaf by a longer walk.
+    The memo key is (next job, every load, sorted), closed machines
+    included, and there is no cardinality or clique prune. The branching is
+    the same: the lowest-labeled machine of each distinct load in ascending
+    load order, fresh machine last, so it reaches the same first feasible
+    leaf by a longer walk.
     """
     n = len(p)
     failed: set[tuple[int, tuple[int, ...]]] = set()

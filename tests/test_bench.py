@@ -1,4 +1,6 @@
 import concurrent.futures
+import csv
+import io
 import math
 import os
 import subprocess
@@ -266,6 +268,18 @@ class TestReports:
         assert cells[3:7] == ["5", "5", "", "3"]
         assert cells[7] == "1.666667"
         assert cells[9] == ""  # no cover count, no cover ratio
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r\nb", '"', ",", ""])
+    def test_csv_id_reads_back_as_one_cell(self, name):
+        record = evaluate(gen_tight2(1), name, ("ff",))
+        text = emit_report([record])
+        header, row = csv.reader(io.StringIO(text, newline=""))
+        assert len(row) == len(header) and row[0] == name
+        written = io.StringIO()
+        csv.writer(written, lineterminator="\n").writerow(
+            "" if v is None else str(v) for v in bench_module.report_row(record)
+        )
+        assert text.split("\n", 1)[1] == written.getvalue()
 
     def test_unknown_format(self):
         with pytest.raises(InputError):

@@ -33,23 +33,36 @@ def test_first_fit_probes_and_machines():
 
 SEARCH_NODES = {
     "unit": 268,
-    "slack-noninc": 1_352,
-    "slack-nondec": 747,
-    "deadline-noninc": 359,
-    "arbitrary": 1_486,
+    "slack-noninc": 977,
+    "slack-nondec": 727,
+    "deadline-noninc": 287,
+    "arbitrary": 1_411,
 }
+
+
+def _deepening_nodes(instances) -> int:
+    # optimal's deepening, from the lower bound up to first fit's count, on
+    # a budget of the test's own; spent nodes include failed levels
+    budget = _Budget(10**9)
+    for instance in instances:
+        search = _search(instance.p, instance.d)
+        for machines in range(lower_bound(instance), first_fit(instance).machine_count):
+            if search(machines, budget) is not None:
+                break
+    return 10**9 - budget.remaining
 
 
 @pytest.mark.parametrize("family", RANDOM_FAMILIES)
 def test_search_nodes_per_family(family):
-    # optimal's deepening, from the lower bound up to first fit's count, on
-    # a budget of the test's own; spent nodes include failed levels
-    budget = _Budget(10**9)
-    for seed in range(20):
-        instance = gen_random(GenSpec(family, n=14, seed=seed))
-        p = [job.p for job in instance.jobs]
-        d = [job.d for job in instance.jobs]
-        for machines in range(lower_bound(instance), first_fit(instance).machine_count):
-            if _search(p, d, machines, budget) is not None:
-                break
-    assert 10**9 - budget.remaining == SEARCH_NODES[family]
+    instances = [gen_random(GenSpec(family, n=14, seed=seed)) for seed in range(20)]
+    assert _deepening_nodes(instances) == SEARCH_NODES[family]
+
+
+def test_search_nodes_on_a_paper_sweep_shaped_corpus():
+    # the benchmark's paper sweep draws n=16 with the default ranges
+    instances = [
+        gen_random(GenSpec(family, n=16, seed=seed))
+        for family in RANDOM_FAMILIES
+        for seed in range(20)
+    ]
+    assert _deepening_nodes(instances) == 6_157

@@ -39,9 +39,7 @@ BUDGET_EXHAUSTING = GenSpec("slack-noninc", n=20, seed=0, p_range=(1, 100), slac
 
 def _search_with(instance: Instance, machine_limit: int, node_budget: int | None = None):
     """One deepening level of the exact search, as a schedule or None."""
-    p = [job.p for job in instance.jobs]
-    d = [job.d for job in instance.jobs]
-    found = _search(p, d, machine_limit, _Budget(node_budget))
+    found = _search(instance.p, instance.d)(machine_limit, _Budget(node_budget))
     return None if found is None else Schedule(tuple(found))
 
 
@@ -137,9 +135,9 @@ def test_lower_bound_covers_volume_and_forced_first(instance):
     # over the largest deadline and the jobs forced to open a machine
     if instance.n == 0:
         return
-    forced_first = [k for k, job in enumerate(instance.jobs)
-                    if all(job.slack < earlier.p for earlier in instance.jobs[:k])]
-    volume = -(-instance.total_work // max(job.d for job in instance.jobs))
+    p, d = instance.p, instance.d
+    forced_first = [k for k in range(instance.n) if all(d[k] - p[k] < pi for pi in p[:k])]
+    volume = -(-instance.total_work // max(d))
     assert lower_bound(instance) >= max(1, volume, len(forced_first))
 
 
@@ -164,8 +162,8 @@ def _clique_by_enumeration(p, slack, start, below):
 @given(instances_st(max_n=9, max_p=6, max_slack=6), st.integers(0, 8))
 @settings(max_examples=150)
 def test_suffix_cliques_match_enumeration(instance, below):
-    p = [job.p for job in instance.jobs]
-    slack = [job.slack for job in instance.jobs]
+    p = list(instance.p)
+    slack = [dj - pj for pj, dj in zip(instance.p, instance.d)]
     for limit in (below, float("inf")):
         expected = [_clique_by_enumeration(p, slack, j, limit) for j in range(instance.n + 1)]
         assert suffix_cliques(p, slack, limit) == expected
@@ -190,11 +188,29 @@ class TestPrunesKeepTheAssignment:
     def test_every_level_matches_the_unpruned_search(self, family):
         for seed in range(5):
             instance = gen_random(GenSpec(family, n=10, seed=seed))
-            p = [job.p for job in instance.jobs]
-            d = [job.d for job in instance.jobs]
+            search = _search(instance.p, instance.d)
             for machines in range(0, first_fit(instance).machine_count + 2):
-                pruned = _search(p, d, machines, _Budget(None))
-                assert pruned == search_unpruned(p, d, machines), (seed, machines)
+                pruned = search(machines, _Budget(None))
+                assert pruned == search_unpruned(instance.p, instance.d, machines), (seed, machines)
+
+
+@st.composite
+def closing_instances_st(draw):
+    """Long jobs first, then a tail of small slacks the long jobs' machines
+    can no longer take, so machines close early in the search."""
+    head = draw(st.lists(st.tuples(st.integers(4, 12), st.integers(0, 12)), min_size=1, max_size=5))
+    tail = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), max_size=7))
+    return Instance.from_pairs((p, p + slack) for p, slack in head + tail)
+
+
+@given(closing_instances_st())
+@settings(max_examples=150)
+def test_clamped_memo_matches_the_unpruned_search_at_every_level(instance):
+    # one search per instance, so every level also reuses the shared tables
+    search = _search(instance.p, instance.d)
+    for machines in range(0, first_fit(instance).machine_count + 2):
+        expected = search_unpruned(instance.p, instance.d, machines)
+        assert search(machines, _Budget(None)) == expected, machines
 
 
 class TestDeepeningSoundness:
@@ -238,7 +254,21 @@ class TestCapsAndBudgets:
     def test_search_level_budget(self):
         with pytest.raises(SearchBudgetError) as exc:
             _search_with(gen_tight2(2), 3, node_budget=1)
-        assert exc.value.upper_bound is None
+        assert exc.value.upper_bound is None and exc.value.lower_bound is None
+
+    def test_budget_error_carries_the_level_it_was_searching(self):
+        # the root bound of gen_tight2(2) is already its optimum, 3, so the
+        # budget runs out on the first level searched
+        with pytest.raises(SearchBudgetError) as exc:
+            optimal(gen_tight2(2), node_budget=1)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (3, 5)
+        # root bound 3, first fit 5: level 3 fails in 16 nodes, so a budget of
+        # 21 proves it infeasible and runs out on the feasible level 4
+        instance = gen_random(GenSpec("slack-noninc", n=10, seed=1))
+        assert lower_bound(instance) == 3 and optimal(instance).machine_count == 4
+        with pytest.raises(SearchBudgetError, match="^search node budget exhausted$") as exc:
+            optimal(instance, node_budget=21)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
 
     def test_generous_budget_succeeds(self):
         assert optimal(gen_tight2(2), node_budget=10**6).machine_count == 3
@@ -257,6 +287,7 @@ class TestCapsAndBudgets:
         with pytest.raises(SearchBudgetError) as exc:
             optimal(gen_random(BUDGET_EXHAUSTING), node_budget=20_000)
         assert exc.value.upper_bound == 10
+        assert exc.value.lower_bound == 8  # levels 6 and 7 proven infeasible
 
     def test_limit_above_the_maximum_is_input_error(self, monkeypatch):
         def refuse(*args):
@@ -270,7 +301,8 @@ class TestCapsAndBudgets:
     def _deep(k: int) -> Instance:
         # loose unit jobs, then the tight family: the search places every
         # job, one stack frame each, MAX_ORACLE_CAP frames deep
-        tail = [(job.p, job.d) for job in gen_tight2(k).jobs]
+        tight = gen_tight2(k)
+        tail = list(zip(tight.p, tight.d))
         return Instance.from_pairs([(1, 10**6)] * (MAX_ORACLE_CAP - len(tail)) + tail)
 
     def test_deepest_instance_within_the_maximum_solves(self):
