@@ -9,7 +9,6 @@ benchmark harness with proven-bound checking.
 
 from .core import (
     MAX_TOTAL_WORK,
-    CompletionProfile,
     CoverageError,
     InputError,
     Instance,
@@ -22,8 +21,6 @@ from .core import (
     load_instance,
     loads,
     save_instance,
-    schedule_from_json,
-    schedule_to_json,
 )
 from .cover import build_table, max_feasible_subset, setcover_greedy
 from .exact import (
@@ -50,16 +47,13 @@ from .instances import (
 )
 from .bench import (
     ALGORITHMS,
-    BOUND_ASSERTIONS,
     REPORT_COLUMNS,
     BenchRecord,
-    BoundAssertion,
     BoundViolation,
     HuntResult,
     SolveReport,
     assert_bounds,
     counterexample_search,
-    effective_oracle_cap,
     emit_report,
     evaluate,
     expand_sweep,

@@ -14,14 +14,13 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule, _require_int, is_feasible
 from .cover import setcover_greedy
-from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, CapacityError, SearchBudgetError, optimal
+from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, optimal
 from .greedy import first_fit, next_fit
 from .instances import (
     MAX_JOBS,
@@ -35,21 +34,11 @@ from .instances import (
 )
 
 ALGORITHMS = ("ff", "nf", "cover", "opt")
-ORACLE_CAP_ENV = "FOSCHED_ORACLE_CAP"
 
 
-def effective_oracle_cap() -> int:
-    """Size cap for the exact solver, overridable via FOSCHED_ORACLE_CAP up to MAX_ORACLE_CAP."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if not 0 <= cap <= MAX_ORACLE_CAP:
-        raise InputError(f"{ORACLE_CAP_ENV} must be between 0 and {MAX_ORACLE_CAP}, got {cap}")
-    return cap
+def _within_cap(algorithms: Iterable[str], n: int, oracle_cap: int) -> tuple[str, ...]:
+    """``algorithms`` without opt when ``n`` jobs are above the oracle cap."""
+    return tuple(a for a in algorithms if a != "opt" or n <= oracle_cap)
 
 
 @dataclass(frozen=True)
@@ -153,18 +142,20 @@ def evaluate(
 
 
 @dataclass(frozen=True)
-class BoundAssertion:
+class _BoundAssertion:
     """A guarantee a record must satisfy whenever it applies.
 
-    ``applies`` is total over all records and checks that every count the
-    assertion reads is present, so a record lacking one (an opt above the
-    oracle cap or out of node budget) skips it; ``holds`` runs only where it
+    It applies to a record whose classes include ``order`` (every record's
+    include ARBITRARY, the empty set) and that holds every count ``reads``
+    returns (two or more), so a record lacking one (an opt above the oracle
+    cap or out of node budget) skips it. ``holds`` runs only where it
     applies.
     """
 
     name: str
     rule: str
-    applies: Callable[[BenchRecord], bool]
+    order: OrderClass
+    reads: Callable[[BenchRecord], tuple]
     holds: Callable[[BenchRecord], bool]
 
 
@@ -175,74 +166,75 @@ class BoundViolation:
     detail: str
 
 
-def _has(record: BenchRecord, *fields: str) -> bool:
-    return all(getattr(record, f) is not None for f in fields)
-
-
 def _harmonic_cap(record: BenchRecord) -> int:
     return math.ceil((math.log(record.n) + 1) * record.opt)
 
 
-BOUND_ASSERTIONS: tuple[BoundAssertion, ...] = (
-    BoundAssertion(
+_FF_OPT = attrgetter("ff", "opt")
+
+_BOUND_ASSERTIONS: tuple[_BoundAssertion, ...] = (
+    _BoundAssertion(
         "unit-ff-optimal",
         "unit processing times: ff == opt",
-        lambda r: OrderClass.UNIT_PROCESSING in r.classes and _has(r, "ff", "opt"),
+        OrderClass.UNIT_PROCESSING,
+        _FF_OPT,
         lambda r: r.ff == r.opt,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "slack-noninc-ff-equals-nf",
         "non-increasing slacks: ff == nf",
-        lambda r: OrderClass.SLACK_NONINCREASING in r.classes and _has(r, "ff", "nf"),
+        OrderClass.SLACK_NONINCREASING,
+        attrgetter("ff", "nf"),
         lambda r: r.ff == r.nf,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "slack-noninc-ff-below-double",
         "non-increasing slacks: ff <= 2*opt - 1",
-        lambda r: OrderClass.SLACK_NONINCREASING in r.classes
-        and _has(r, "ff", "opt")
-        and r.opt >= 1,
-        lambda r: r.ff <= 2 * r.opt - 1,
+        OrderClass.SLACK_NONINCREASING,
+        _FF_OPT,
+        lambda r: r.opt < 1 or r.ff <= 2 * r.opt - 1,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "slack-nondec-ff-below-double",
         "non-decreasing slacks: ff <= 2*opt - 1",
-        lambda r: OrderClass.SLACK_NONDECREASING in r.classes
-        and _has(r, "ff", "opt")
-        and r.opt >= 1,
-        lambda r: r.ff <= 2 * r.opt - 1,
+        OrderClass.SLACK_NONDECREASING,
+        _FF_OPT,
+        lambda r: r.opt < 1 or r.ff <= 2 * r.opt - 1,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "deadline-noninc-ff-below-double",
         "non-increasing deadlines: ff <= 2*opt - 1",
-        lambda r: OrderClass.DEADLINE_NONINCREASING in r.classes
-        and _has(r, "ff", "opt")
-        and r.opt >= 1,
-        lambda r: r.ff <= 2 * r.opt - 1,
+        OrderClass.DEADLINE_NONINCREASING,
+        _FF_OPT,
+        lambda r: r.opt < 1 or r.ff <= 2 * r.opt - 1,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "opt1-ff-exact",
         "opt == 1: ff == 1",
-        lambda r: r.opt == 1 and _has(r, "ff"),
-        lambda r: r.ff == 1,
+        OrderClass.ARBITRARY,
+        _FF_OPT,
+        lambda r: r.opt != 1 or r.ff == 1,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "opt2-ff-at-most-3",
         "opt == 2: ff <= 3",
-        lambda r: r.opt == 2 and _has(r, "ff"),
-        lambda r: r.ff <= 3,
+        OrderClass.ARBITRARY,
+        _FF_OPT,
+        lambda r: r.opt != 2 or r.ff <= 3,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "opt3-ff-at-most-6",
         "opt == 3: ff <= 6",
-        lambda r: r.opt == 3 and _has(r, "ff"),
-        lambda r: r.ff <= 6,
+        OrderClass.ARBITRARY,
+        _FF_OPT,
+        lambda r: r.opt != 3 or r.ff <= 6,
     ),
-    BoundAssertion(
+    _BoundAssertion(
         "cover-harmonic",
         "cover <= ceil((ln n + 1) * opt)",
-        lambda r: _has(r, "cover", "opt") and r.n >= 1 and r.opt >= 1,
-        lambda r: r.cover <= _harmonic_cap(r),
+        OrderClass.ARBITRARY,
+        attrgetter("cover", "opt"),
+        lambda r: r.n < 1 or r.opt < 1 or r.cover <= _harmonic_cap(r),
     ),
 )
 
@@ -254,8 +246,12 @@ def assert_bounds(record: BenchRecord) -> list[BoundViolation]:
     opt is still checked against ff == nf under non-increasing slacks.
     """
     violations = []
-    for assertion in BOUND_ASSERTIONS:
-        if assertion.applies(record) and not assertion.holds(record):
+    for assertion in _BOUND_ASSERTIONS:
+        if (
+            assertion.order in record.classes
+            and None not in assertion.reads(record)
+            and not assertion.holds(record)
+        ):
             violations.append(
                 BoundViolation(
                     assertion.name,
@@ -285,12 +281,11 @@ def counterexample_search(
     template: GenSpec,
     threshold: Fraction | int = Fraction(2),
     *,
-    plants: Sequence[Instance] = (),
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int | None = None,
 ) -> HuntResult:
-    """Evaluate ``budget`` seeded instances (plus any plants) and report the
-    record with the largest ff/opt ratio.
+    """Evaluate ``budget`` seeded instances and report the record with the
+    largest ff/opt ratio.
 
     Instance i uses seed template.seed + i. Ratios compare exactly as
     rationals. Records at or above ``threshold`` are returned in ``flagged``;
@@ -303,17 +298,13 @@ def counterexample_search(
     skipped = budget if template.n > oracle_cap else 0
     # Lazily, so only the instance under evaluation is held in memory.
     drawn = map(gen_random, _seeded_specs(template, budget - skipped))
-    candidates = chain(
-        ((plant.name or f"plant-{idx}", plant) for idx, plant in enumerate(plants)),
-        ((instance.name or "random", instance) for instance in drawn),
-    )
     best: BenchRecord | None = None
     best_ratio = Fraction(0)
     evaluated = 0
     flagged = []
-    for instance_id, instance in candidates:
+    for instance in drawn:
         record = evaluate(
-            instance, instance_id, ("ff", "opt"), oracle_cap=oracle_cap, node_budget=node_budget
+            instance, instance.name, ("ff", "opt"), oracle_cap=oracle_cap, node_budget=node_budget
         )
         if record.ratio("ff") is None:
             skipped += 1
@@ -349,9 +340,10 @@ def report_row(record: BenchRecord) -> list:
 def emit_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
     """Render records as CSV or JSON, rows in input order.
 
-    Of the CSV cells only the id is free text. It is quoted as ``csv.writer``
-    quotes it: when it holds a comma, a quote or a line break, with quotes
-    doubled.
+    Of the CSV cells only the id is free text. It is quoted when it holds a
+    comma, a quote, ``\\r`` or ``\\n``, with quotes doubled. On Python 3.11
+    ``csv.writer`` leaves a lone ``\\r`` unquoted, and ``csv.reader`` then
+    rejects the row.
     """
     if fmt == "csv":
         lines = [",".join(REPORT_COLUMNS)]
@@ -483,8 +475,7 @@ def expand_sweep(doc: dict, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[Swe
     for _, specs, algos in parsed:
         for instance_id, spec in specs:
             instance = generate(spec)
-            effective = tuple(a for a in algos if a != "opt" or instance.n <= oracle_cap)
-            tasks.append((instance_id, instance, effective))
+            tasks.append((instance_id, instance, _within_cap(algos, instance.n, oracle_cap)))
     return tasks
 
 

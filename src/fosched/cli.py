@@ -13,15 +13,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .bench import (
     ALGORITHMS,
+    _within_cap,
     assert_bounds,
     counterexample_search,
-    effective_oracle_cap,
     emit_report,
     expand_sweep,
     load_sweep,
@@ -31,7 +32,7 @@ from .bench import (
     REPORT_COLUMNS,
 )
 from .core import InputError, instance_to_json, load_instance
-from .exact import SearchBudgetError
+from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, SearchBudgetError
 from .greedy import placement_trace
 from .instances import FAMILIES, GenSpec, generate
 
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BOUNDS = 2
 EXIT_BUDGET = 3
+
+ORACLE_CAP_ENV = "FOSCHED_ORACLE_CAP"
 
 
 class _UsageError(Exception):
@@ -90,6 +93,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _oracle_cap() -> int:
+    """Size cap for the exact solver, overridable via FOSCHED_ORACLE_CAP up to MAX_ORACLE_CAP."""
+    raw = os.environ.get(ORACLE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
+    if not 0 <= cap <= MAX_ORACLE_CAP:
+        raise InputError(f"{ORACLE_CAP_ENV} must be between 0 and {MAX_ORACLE_CAP}, got {cap}")
+    return cap
+
+
 def _cmd_gen(args) -> int:
     spec = GenSpec(
         family=args.family,
@@ -109,10 +126,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     instance = load_instance(args.input)
-    algos = ALGORITHMS if args.algo == "all" else (args.algo,)
-    cap = effective_oracle_cap()
-    if args.algo == "all":
-        algos = tuple(a for a in algos if a != "opt" or instance.n <= cap)
+    cap = _oracle_cap()
+    algos = _within_cap(ALGORITHMS, instance.n, cap) if args.algo == "all" else (args.algo,)
     reports = run(instance, algos, oracle_cap=cap, node_budget=args.node_budget)
     rows = []
     for rep in reports:
@@ -155,7 +170,7 @@ def _cmd_bench(args) -> int:
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out.endswith(".json") else "csv"
-    cap = effective_oracle_cap()
+    cap = _oracle_cap()
     tasks = expand_sweep(load_sweep(args.sweep), oracle_cap=cap)
     records = run_sweep(
         tasks, jobs=args.jobs, oracle_cap=cap, node_budget=args.node_budget
@@ -189,7 +204,7 @@ def _cmd_hunt(args) -> int:
         args.budget,
         template,
         threshold,
-        oracle_cap=effective_oracle_cap(),
+        oracle_cap=_oracle_cap(),
         node_budget=args.node_budget,
     )
     summary = {

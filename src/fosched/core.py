@@ -22,9 +22,6 @@ from typing import Iterable, Sequence
 
 MAX_TOTAL_WORK = 2**63 - 1
 
-# Per-job completion times, in job order.
-CompletionProfile = tuple[int, ...]
-
 
 class InputError(ValueError):
     """Invalid job data, instance file, schedule shape, or generator parameters."""
@@ -46,7 +43,7 @@ class Job:
     """One job: processing time ``p`` and deadline ``d`` (integer time units).
 
     Invariants: p >= 1 and d >= p, so a job alone on a fresh machine always
-    meets its deadline. ``slack`` is the latest start time that still works.
+    meets its deadline.
     """
 
     p: int
@@ -59,10 +56,6 @@ class Job:
             raise InputError(f"processing time must be >= 1, got {self.p}")
         if self.d < self.p:
             raise InputError(f"deadline {self.d} is below processing time {self.p}")
-
-    @property
-    def slack(self) -> int:
-        return self.d - self.p
 
 
 def _first_bad_job(p: Sequence[object], d: Sequence[object]) -> tuple[int, InputError] | None:
@@ -134,21 +127,13 @@ class Instance:
     def n(self) -> int:
         return len(self.p)
 
-    @property
-    def total_work(self) -> int:
-        return sum(self.p)
-
-    def __len__(self) -> int:
-        return len(self.p)
-
 
 @dataclass(frozen=True)
 class Schedule:
     """Job-to-machine assignment: ``assignment[j]`` is the machine of job j.
 
     Machine labels are 1-based and contiguous (1..m with no gaps). Solvers
-    emit labels in first-use order; ``from_assignment`` relabels an arbitrary
-    labeling that way.
+    emit labels in first-use order.
     """
 
     assignment: tuple[int, ...]
@@ -175,25 +160,9 @@ class Schedule:
         object.__setattr__(schedule, "assignment", assignment)
         return schedule
 
-    @classmethod
-    def from_assignment(cls, labels: Iterable[int]) -> "Schedule":
-        """Build a schedule with machines relabeled in first-use order."""
-        relabel: dict[int, int] = {}
-        canonical = []
-        for label in labels:
-            _require_int(label, "machine label")
-            if label not in relabel:
-                relabel[label] = len(relabel) + 1
-            canonical.append(relabel[label])
-        return cls(tuple(canonical))
-
     @property
     def machine_count(self) -> int:
         return max(self.assignment, default=0)
-
-    def jobs_on(self, machine: int) -> tuple[int, ...]:
-        """0-based positions of the jobs on ``machine``, in priority order."""
-        return tuple(j for j, label in enumerate(self.assignment) if label == machine)
 
 
 def _check_coverage(instance: Instance, schedule: Schedule) -> None:
@@ -203,7 +172,7 @@ def _check_coverage(instance: Instance, schedule: Schedule) -> None:
         )
 
 
-def completion_profile(instance: Instance, schedule: Schedule) -> CompletionProfile:
+def completion_profile(instance: Instance, schedule: Schedule) -> tuple[int, ...]:
     """Completion time of every job under the fixed per-machine order."""
     _check_coverage(instance, schedule)
     acc: dict[int, int] = {}
@@ -242,7 +211,6 @@ def loads(instance: Instance, schedule: Schedule) -> tuple[int, ...]:
 # --- file format ------------------------------------------------------------
 #
 # Instance files are JSON: {"name": optional str, "jobs": [{"p": int, "d": int}, ...]}
-# Schedules serialize as {"machines": m, "assignment": [1-based labels in job order]}.
 # Serialization is canonical (fixed key order, two-space indent, trailing
 # newline) so equal values produce identical bytes.
 
@@ -291,26 +259,3 @@ def load_instance(path: str | Path) -> Instance:
 
 def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(instance_to_json(instance), encoding="utf-8")
-
-
-def schedule_to_json(schedule: Schedule) -> str:
-    doc = {"machines": schedule.machine_count, "assignment": list(schedule.assignment)}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def schedule_from_json(text: str) -> Schedule:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"invalid schedule: {exc}") from None
-    if not isinstance(doc, dict) or set(doc) != {"machines", "assignment"}:
-        raise InputError("schedule must hold exactly machines and assignment")
-    if not isinstance(doc["assignment"], list):
-        raise InputError('"assignment" must be an array')
-    schedule = Schedule(tuple(doc["assignment"]))
-    machines = _require_int(doc["machines"], "machine count")
-    if machines != schedule.machine_count:
-        raise InputError(
-            f"declared machine count {machines} != actual {schedule.machine_count}"
-        )
-    return schedule

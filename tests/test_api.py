@@ -7,13 +7,13 @@ one as a deliberate addition or trim.
 import types
 
 import fosched
-from fosched import Instance
+from fosched import Instance, Schedule
 
 PUBLIC = {
     # core
-    "MAX_TOTAL_WORK", "CompletionProfile", "CoverageError", "InputError", "Instance", "Job",
-    "Schedule", "completion_profile", "instance_from_json", "instance_to_json", "is_feasible",
-    "load_instance", "loads", "save_instance", "schedule_from_json", "schedule_to_json",
+    "MAX_TOTAL_WORK", "CoverageError", "InputError", "Instance", "Job", "Schedule",
+    "completion_profile", "instance_from_json", "instance_to_json", "is_feasible",
+    "load_instance", "loads", "save_instance",
     # cover
     "build_table", "max_feasible_subset", "setcover_greedy",
     # exact
@@ -25,13 +25,14 @@ PUBLIC = {
     "FAMILIES", "MAX_JOBS", "RANDOM_FAMILIES", "GenSpec", "OrderClass", "class_tokens",
     "classify", "gen_nf_hard", "gen_random", "gen_tight2", "generate",
     # bench
-    "ALGORITHMS", "BOUND_ASSERTIONS", "REPORT_COLUMNS", "BenchRecord", "BoundAssertion",
-    "BoundViolation", "HuntResult", "SolveReport", "assert_bounds", "counterexample_search",
-    "effective_oracle_cap", "emit_report", "evaluate", "expand_sweep", "load_sweep",
-    "report_row", "run", "run_sweep",
+    "ALGORITHMS", "REPORT_COLUMNS", "BenchRecord", "BoundViolation", "HuntResult",
+    "SolveReport", "assert_bounds", "counterexample_search", "emit_report", "evaluate",
+    "expand_sweep", "load_sweep", "report_row", "run", "run_sweep",
 }
 # Instance(p, d, name) is the one checked constructor; from_pairs unzips into it.
-INSTANCE_PUBLIC = {"p", "d", "name", "from_pairs", "jobs", "n", "total_work"}
+INSTANCE_PUBLIC = {"p", "d", "name", "from_pairs", "jobs", "n"}
+# Schedule(labels) is the checked constructor; solvers build theirs unchecked.
+SCHEDULE_PUBLIC = {"assignment", "machine_count"}
 
 
 def test_public_surface():
@@ -41,4 +42,5 @@ def test_public_surface():
     }
     assert exported == PUBLIC
     assert {name for name in dir(Instance((), ())) if not name.startswith("_")} == INSTANCE_PUBLIC
+    assert {name for name in dir(Schedule(())) if not name.startswith("_")} == SCHEDULE_PUBLIC
     assert not hasattr(Instance, "__iter__")

@@ -3,13 +3,16 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
 import fosched.bench as bench_module
 import fosched.cli as cli_module
 import fosched.greedy as greedy_module
-from fosched import Instance, Schedule, gen_nf_hard, gen_tight2, instance_to_json, save_instance
+from fosched import (
+    Instance, OrderClass, Schedule, gen_nf_hard, gen_tight2, instance_to_json, save_instance,
+)
 from fosched.cli import main
 from helpers import first_fit_linear_traced, next_fit_traced
 
@@ -227,10 +230,10 @@ class TestBench:
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"sweeps": [{"family": "nf-hard", "n": 4}]}))
         out = tmp_path / "r.csv"
-        broken = bench_mod.BoundAssertion(
-            "always-fails", "ff == 0", lambda r: True, lambda r: False
+        broken = bench_mod._BoundAssertion(
+            "always-fails", "ff == 0", OrderClass.ARBITRARY, attrgetter("ff", "nf"), lambda r: False
         )
-        monkeypatch.setattr(bench_mod, "BOUND_ASSERTIONS", (broken,))
+        monkeypatch.setattr(bench_mod, "_BOUND_ASSERTIONS", (broken,))
         argv = ["bench", "--sweep", str(sweep), "--out", str(out), "--assert-bounds"]
         assert main(argv) == 2
 

@@ -137,7 +137,7 @@ def test_lower_bound_covers_volume_and_forced_first(instance):
         return
     p, d = instance.p, instance.d
     forced_first = [k for k in range(instance.n) if all(d[k] - p[k] < pi for pi in p[:k])]
-    volume = -(-instance.total_work // max(d))
+    volume = -(-sum(p) // max(d))
     assert lower_bound(instance) >= max(1, volume, len(forced_first))
 
 

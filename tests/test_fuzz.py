@@ -1,4 +1,4 @@
-"""Arbitrary JSON through the three parsers, and junk GenSpec fields: each
+"""Arbitrary JSON through the two parsers, and junk GenSpec fields: each
 succeeds or raises InputError.
 
 Documents are built from the parsers' real keys, families, algorithm names
@@ -22,7 +22,6 @@ from fosched import (
     instance_from_json,
     load_instance,
     load_sweep,
-    schedule_from_json,
 )
 
 INTS = st.integers(-3, 30)
@@ -75,7 +74,6 @@ ENTRY = objects(
 SWEEP = mostly(objects({"sweeps": st.lists(ENTRY, max_size=3), "algorithms": ALGOS}))
 JOB = objects({"p": INTS, "d": INTS})
 INSTANCE = mostly(objects({"name": WORDS, "jobs": st.lists(JOB, max_size=4)}))
-SCHEDULE = mostly(objects({"machines": INTS, "assignment": st.lists(st.integers(-1, 4), max_size=5)}))
 SPEC_FIELDS = st.fixed_dictionaries(
     {
         "family": mostly(st.sampled_from(FAMILIES)),
@@ -101,12 +99,6 @@ def test_instance_parser(doc):
     succeeds_or_input_error(instance_from_json, json.dumps(doc))
 
 
-@given(SCHEDULE)
-@settings(max_examples=200)
-def test_schedule_parser(doc):
-    succeeds_or_input_error(schedule_from_json, json.dumps(doc))
-
-
 @given(SWEEP)
 @settings(max_examples=200)
 def test_sweep_parser(doc):
@@ -125,7 +117,7 @@ def test_genspec_fields(fields):
 
 
 @pytest.mark.parametrize(
-    "parse", [instance_from_json, schedule_from_json, "instance file", "sweep"]
+    "parse", [instance_from_json, "instance file", "sweep"]
 )
 def test_deeply_nested_json_is_an_input_error(tmp_path, parse):
     text = "[" * 200_000

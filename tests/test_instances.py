@@ -27,7 +27,7 @@ class TestNfHardFamily:
     def test_frozen_values(self):
         inst = gen_nf_hard(5)
         assert [(j.p, j.d) for j in inst.jobs] == [(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)]
-        assert [j.slack for j in inst.jobs] == [0, 0, 1, 2, 4]
+        assert [dj - pj for pj, dj in zip(inst.p, inst.d)] == [0, 0, 1, 2, 4]
 
     def test_smallest_size(self):
         assert [(j.p, j.d) for j in gen_nf_hard(3).jobs] == [(1, 1), (2, 2), (3, 4)]
@@ -213,7 +213,7 @@ class TestGenRandom:
     def test_draws_respect_ranges(self):
         inst = gen_random(GenSpec("arbitrary", n=40, seed=8, p_range=(2, 4), slack_range=(1, 3)))
         assert all(2 <= job.p <= 4 for job in inst.jobs)
-        assert all(1 <= job.slack <= 3 for job in inst.jobs)
+        assert all(1 <= dj - pj <= 3 for pj, dj in zip(inst.p, inst.d))
 
 
 # Range widths where rejection sampling differs: 1 (one bit, half rejected),
