@@ -5,7 +5,11 @@ unscheduled jobs on a fresh machine. That subsequence comes from the
 Lawler–Moore dynamic program for a fixed sequence: ``best[k]`` is the least
 completion time of a feasible k-subset of the jobs seen so far, and each job
 improves it in place. ``best`` is strictly increasing, so it only holds the
-feasible sizes, and bitmasks of the improved sizes replay the choices.
+feasible sizes, and bitmasks of the improved sizes replay the choices. A
+job lowers ``best[k]`` only where the step ``best[k] - best[k-1]`` exceeds
+its processing time, so the running maximum of those steps lets the table
+skip, exactly and in O(1), the many jobs that change nothing. Each round
+removes its picks from the remaining jobs in place.
 
 ``latest_starts`` runs the same recursion backwards, over every suffix, for
 the exact search: how many of the remaining jobs a machine can still take
@@ -28,23 +32,47 @@ def build_table(p: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int
     machine, so ``len(best) - 1`` is the largest feasible size. Bit k of
     ``marks[i]`` is set when job i strictly lowered ``best[k]``, i.e. the
     best k-subset of jobs 0..i ends with job i. A job ends a k-subset only
-    when ``best[k-1] + p <= d``, which bisect finds; k runs downward so each
-    update still reads the previous job's ``best[k-1]``.
+    when ``best[k-1] + p <= d``, which bisect finds as ``k <= hi``; k runs
+    downward so each update still reads the previous job's ``best[k-1]``.
+
+    Most jobs change nothing, and those cost one bisect and one lookup. For
+    ``k <= hi`` and ``k < len(best)``, the job lowers ``best[k]`` exactly
+    when the step ``best[k] - best[k-1]`` exceeds p. ``widest[k]`` is the
+    largest step up to k, so it never falls as k grows. A job with
+    ``hi < len(best)`` (nothing to append) and ``widest[hi] <= p`` therefore
+    gets mark 0. Any other job changes ``best[low]``, with ``low`` the first
+    size whose ``widest`` exceeds p, and nothing below it; so the update
+    runs from hi down to low, and ``widest`` is rebuilt from low up.
     """
     best = [0]
+    widest = [0]
     marks = []
     for pj, dj in zip(p, d):
-        mark = 0
-        for k in range(bisect_right(best, dj - pj), 0, -1):
-            ending_here = best[k - 1] + pj
-            if k == len(best):
-                best.append(ending_here)
-            elif ending_here < best[k]:
-                best[k] = ending_here
-            else:
+        hi = bisect_right(best, dj - pj)
+        if hi < len(best):
+            if widest[hi] <= pj:
+                marks.append(0)
                 continue
-            mark |= 1 << k
+            mark = 0
+        else:
+            best.append(best[-1] + pj)
+            mark = 1 << hi
+            hi -= 1
+        low = bisect_right(widest, pj)
+        for k in range(hi, low - 1, -1):
+            ending_here = best[k - 1] + pj
+            if ending_here < best[k]:
+                best[k] = ending_here
+                mark |= 1 << k
         marks.append(mark)
+        step = widest[low - 1]
+        del widest[low:]
+        below = best[low - 1]
+        for value in best[low:]:
+            if value - below > step:
+                step = value - below
+            widest.append(step)
+            below = value
     return best, marks
 
 
@@ -95,6 +123,8 @@ def max_feasible_subset(p: Sequence[int], d: Sequence[int]) -> tuple[int, list[i
         if marks[i] >> k & 1:
             picks.append(i)
             k -= 1
+            if not k:
+                break
     picks.reverse()
     return len(picks), picks
 
@@ -105,17 +135,16 @@ def setcover_greedy(instance: Instance) -> Schedule:
     Terminates because a lone job always fits (d >= p), so every round
     schedules at least one job. Machines are relabeled to first-use order.
     """
-    p, d = instance.p, instance.d
+    p, d = list(instance.p), list(instance.d)
     remaining = list(range(instance.n))
     labels = [0] * instance.n
     machine = 0
     while remaining:
         machine += 1
-        _, picks = max_feasible_subset([p[t] for t in remaining], [d[t] for t in remaining])
-        chosen = {remaining[t] for t in picks}
-        for t in chosen:
-            labels[t] = machine
-        remaining = [t for t in remaining if t not in chosen]
+        _, picks = max_feasible_subset(p, d)
+        for t in reversed(picks):
+            labels[remaining[t]] = machine
+            del remaining[t], p[t], d[t]
     first_use: dict[int, int] = {}
     return Schedule._trusted(
         tuple(first_use.setdefault(label, len(first_use) + 1) for label in labels)

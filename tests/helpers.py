@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 
 import hypothesis.strategies as st
 
@@ -98,24 +99,75 @@ def next_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace,
     return Schedule(tuple(assignment)), tuple(trace)
 
 
-def max_subset_exhaustive(jobs, start: int = 0) -> int:
+def max_subset_exhaustive(p, d, start: int = 0) -> int:
     """Largest subset size one machine runs from time ``start``, by trying every subset.
 
     Independent of the dynamic program: plain include/exclude recursion over
-    the sequence, carrying the running completion time. Skipping a job never
-    hurts later feasibility, so pruning infeasible inclusions is exhaustive.
+    the jobs ``(p[i], d[i])``, carrying the running completion time. Skipping
+    a job never hurts later feasibility, so pruning infeasible inclusions is
+    exhaustive.
     """
 
     def walk(idx: int, completion: int) -> int:
-        if idx == len(jobs):
+        if idx == len(p):
             return 0
         best = walk(idx + 1, completion)
-        job = jobs[idx]
-        if completion + job.p <= job.d:
-            best = max(best, 1 + walk(idx + 1, completion + job.p))
+        if completion + p[idx] <= d[idx]:
+            best = max(best, 1 + walk(idx + 1, completion + p[idx]))
         return best
 
     return walk(0, start)
+
+
+def build_table_unskipped(p, d) -> tuple[list[int], list[int]]:
+    """``cover.build_table`` without its skip: every job runs the downward loop.
+
+    The oracle for the skip rule and the ``widest`` steps it reads, so
+    ``(best, marks)`` must be equal.
+    """
+    best = [0]
+    marks = []
+    for pj, dj in zip(p, d):
+        mark = 0
+        for k in range(bisect_right(best, dj - pj), 0, -1):
+            ending_here = best[k - 1] + pj
+            if k == len(best):
+                best.append(ending_here)
+            elif ending_here < best[k]:
+                best[k] = ending_here
+            else:
+                continue
+            mark |= 1 << k
+        marks.append(mark)
+    return best, marks
+
+
+def setcover_rebuilding(instance: Instance) -> Schedule:
+    """``cover.setcover_greedy`` on the unskipped table, rebuilding its lists each round.
+
+    Each round walks the marks of ``build_table_unskipped`` back from the
+    last remaining job, labels the picks, and filters them out of a fresh
+    list of the remaining jobs; then machines are relabeled to first-use
+    order. The oracle for the in-place removal and the skipping table.
+    """
+    p, d = instance.p, instance.d
+    remaining = list(range(instance.n))
+    labels = [0] * instance.n
+    machine = 0
+    while remaining:
+        machine += 1
+        best, marks = build_table_unskipped([p[t] for t in remaining], [d[t] for t in remaining])
+        k = len(best) - 1
+        chosen = set()
+        for i in range(len(remaining) - 1, -1, -1):
+            if marks[i] >> k & 1:
+                chosen.add(remaining[i])
+                k -= 1
+        for t in chosen:
+            labels[t] = machine
+        remaining = [t for t in remaining if t not in chosen]
+    first_use: dict[int, int] = {}
+    return Schedule(tuple(first_use.setdefault(label, len(first_use) + 1) for label in labels))
 
 
 def subset_dp_rows(p, d) -> list[list[float]]:

@@ -162,7 +162,7 @@ def test_c08_subset_dp_matches_exhaustive_enumeration():
     start = time.perf_counter()
     for inst in _C8_SWEEP:
         k, picks = max_feasible_subset(inst.p, inst.d)
-        expected = max_subset_exhaustive(inst.jobs)
+        expected = max_subset_exhaustive(inst.p, inst.d)
         if k != expected or len(picks) != k:
             failures.append((inst.name, k, expected))
     _check(8, "largest one-machine subset: DP equals exhaustive enumeration "

@@ -1,12 +1,15 @@
 """Deterministic work counters on a small fixed corpus.
 
-Counts of fit tests, machines and search nodes move only when the
-algorithms do, never with machine noise, so they pin the work each solver
-does. Nothing here reads a clock.
+Counts of fit tests, machines, search nodes and the jobs each set-cover
+round examines move only when the algorithms do, never with machine noise,
+so they pin the work each solver does. Nothing here reads a clock.
 """
+
+from unittest import mock
 
 import pytest
 
+import fosched.cover as cover_module
 from fosched import (
     RANDOM_FAMILIES,
     GenSpec,
@@ -16,6 +19,7 @@ from fosched import (
     gen_random,
     gen_tight2,
     lower_bound,
+    setcover_greedy,
 )
 from fosched.exact import _Budget, _search
 
@@ -66,3 +70,30 @@ def test_search_nodes_on_a_paper_sweep_shaped_corpus():
         for seed in range(20)
     ]
     assert _deepening_nodes(instances) == 6_157
+
+
+def test_cover_machines_and_jobs_per_round():
+    # the benchmark's cover-mid shapes; every job still remaining is handed
+    # to each round's max_feasible_subset
+    corpus = [
+        gen_random(GenSpec(family, n=600, seed=seed, slack_range=slack_range))
+        for family, slack_range in (
+            ("arbitrary", (0, 30)),
+            ("arbitrary", (0, 300)),
+            ("deadline-noninc", (0, 30)),
+            ("slack-nondec", (0, 30)),
+        )
+        for seed in range(2)
+    ]
+    real = cover_module.max_feasible_subset
+    handed = 0
+
+    def counting(p, d):
+        nonlocal handed
+        handed += len(p)
+        return real(p, d)
+
+    with mock.patch.object(cover_module, "max_feasible_subset", counting):
+        machines = sum(setcover_greedy(instance).machine_count for instance in corpus)
+    assert machines == 1_003
+    assert handed == 184_826

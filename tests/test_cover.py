@@ -8,8 +8,10 @@ from hypothesis import given, settings
 import fosched.cover as cover_module
 from fosched.cover import latest_starts
 from fosched import (
+    GenSpec,
     Instance,
     build_table,
+    gen_random,
     gen_tight2,
     is_feasible,
     max_feasible_subset,
@@ -18,9 +20,11 @@ from fosched import (
 )
 from helpers import (
     NF_HARD_5,
+    build_table_unskipped,
     instances_st,
     max_feasible_subset_table,
     max_subset_exhaustive,
+    setcover_rebuilding,
     subset_dp_rows,
 )
 
@@ -66,7 +70,7 @@ class TestDpTable:
     @settings(max_examples=80)
     def test_longest_feasible_size_matches_exhaustive(self, instance):
         best, _ = build_table(instance.p, instance.d)
-        assert len(best) - 1 == max_subset_exhaustive(instance.jobs)
+        assert len(best) - 1 == max_subset_exhaustive(instance.p, instance.d)
 
     @given(instances_st(max_n=9))
     @settings(max_examples=60)
@@ -81,6 +85,31 @@ class TestDpTable:
                 completion += p[idx]
                 assert completion <= d[idx]
             assert completion == best[k]
+
+
+class TestSkippingTable:
+    """The skipping table and the in-place cover against their unskipped oracles.
+
+    Long, wide instances grow long tables with uneven steps, so the skip
+    test and the rebuilt ``widest`` are read at every size.
+    """
+
+    @given(instances_st(max_n=60, max_p=30, max_slack=200))
+    @settings(max_examples=150)
+    def test_table_matches_the_unskipped_loop(self, instance):
+        assert build_table(instance.p, instance.d) == build_table_unskipped(instance.p, instance.d)
+
+    @given(instances_st(max_n=60, max_p=30, max_slack=200))
+    @settings(max_examples=100)
+    def test_cover_matches_the_rebuilding_rounds(self, instance):
+        assert setcover_greedy(instance) == setcover_rebuilding(instance)
+
+    def test_cover_mid_shaped_instances(self):
+        for slack_range in ((0, 30), (0, 300)):
+            for seed in range(3):
+                inst = gen_random(GenSpec("arbitrary", n=600, seed=seed, slack_range=slack_range))
+                assert build_table(inst.p, inst.d) == build_table_unskipped(inst.p, inst.d)
+                assert setcover_greedy(inst) == setcover_rebuilding(inst), inst.name
 
 
 class TestMaxFeasibleSubset:
@@ -101,7 +130,7 @@ class TestMaxFeasibleSubset:
     @settings(max_examples=80)
     def test_matches_exhaustive_enumeration(self, instance):
         k, picks = max_feasible_subset(instance.p, instance.d)
-        assert k == max_subset_exhaustive(instance.jobs)
+        assert k == max_subset_exhaustive(instance.p, instance.d)
         assert len(picks) == k
 
     def test_matches_exhaustive_enumeration_seeded(self):
@@ -114,7 +143,7 @@ class TestMaxFeasibleSubset:
                 pairs.append((p, p + rng.randint(0, 12)))
             inst = Instance.from_pairs(pairs)
             k, _ = max_feasible_subset(inst.p, inst.d)
-            assert k == max_subset_exhaustive(inst.jobs)
+            assert k == max_subset_exhaustive(inst.p, inst.d)
 
     @given(instances_st(max_n=14, max_slack=20))
     @settings(max_examples=200)
@@ -166,11 +195,11 @@ class TestLatestStarts:
     @given(instances_st(max_n=9, max_slack=20))
     @settings(max_examples=120)
     def test_loaded_machine_matches_enumeration(self, instance):
-        jobs = instance.jobs
-        table = latest_starts(instance.p, instance.d)
-        for j in range(len(jobs) + 1):
+        p, d = instance.p, instance.d
+        table = latest_starts(p, d)
+        for j in range(instance.n + 1):
             for load in range(0, 32, 3):
-                assert _kmax(table, j, load) == max_subset_exhaustive(jobs[j:], load)
+                assert _kmax(table, j, load) == max_subset_exhaustive(p[j:], d[j:], load)
 
 
 class TestSetCoverGreedy:
