@@ -170,6 +170,10 @@ def _harmonic_cap(record: BenchRecord) -> int:
     return math.ceil((math.log(record.n) + 1) * record.opt)
 
 
+def _ff_below_double(record: BenchRecord) -> bool:
+    return record.opt < 1 or record.ff <= 2 * record.opt - 1
+
+
 _FF_OPT = attrgetter("ff", "opt")
 
 _BOUND_ASSERTIONS: tuple[_BoundAssertion, ...] = (
@@ -192,21 +196,21 @@ _BOUND_ASSERTIONS: tuple[_BoundAssertion, ...] = (
         "non-increasing slacks: ff <= 2*opt - 1",
         OrderClass.SLACK_NONINCREASING,
         _FF_OPT,
-        lambda r: r.opt < 1 or r.ff <= 2 * r.opt - 1,
+        _ff_below_double,
     ),
     _BoundAssertion(
         "slack-nondec-ff-below-double",
         "non-decreasing slacks: ff <= 2*opt - 1",
         OrderClass.SLACK_NONDECREASING,
         _FF_OPT,
-        lambda r: r.opt < 1 or r.ff <= 2 * r.opt - 1,
+        _ff_below_double,
     ),
     _BoundAssertion(
         "deadline-noninc-ff-below-double",
         "non-increasing deadlines: ff <= 2*opt - 1",
         OrderClass.DEADLINE_NONINCREASING,
         _FF_OPT,
-        lambda r: r.opt < 1 or r.ff <= 2 * r.opt - 1,
+        _ff_below_double,
     ),
     _BoundAssertion(
         "opt1-ff-exact",

@@ -92,20 +92,20 @@ def latest_starts(p: Sequence[int], d: Sequence[int]) -> list[list[int]]:
     and ``len(table[j])`` is the largest feasible subset of jobs[j:].
     """
     n = len(p)
-    starts: list[list[int]] = [[] for _ in range(n + 1)]  # S_j[1], S_j[2], ...
+    table: list[list[int]] = [[] for _ in range(n + 1)]  # -S_j[1], -S_j[2], ...
     for j in range(n - 1, -1, -1):
-        later = starts[j + 1]
-        pj, slack = p[j], d[j] - p[j]
+        later = table[j + 1]
+        pj, neg_slack = p[j], p[j] - d[j]
         row = []
         for k in range(1, len(later) + 2):
-            start = slack if k == 1 else min(slack, later[k - 2] - pj)
+            neg_start = neg_slack if k == 1 else max(neg_slack, later[k - 2] + pj)
             if k <= len(later):
-                start = max(start, later[k - 1])
-            if start < 0:
+                neg_start = min(neg_start, later[k - 1])
+            if neg_start > 0:
                 break
-            row.append(start)
-        starts[j] = row
-    return [[-start for start in row] for row in starts]
+            row.append(neg_start)
+        table[j] = row
+    return table
 
 
 def max_feasible_subset(p: Sequence[int], d: Sequence[int]) -> tuple[int, list[int]]:

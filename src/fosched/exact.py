@@ -6,16 +6,17 @@ exists, so the first success is optimal. The root bound is the larger of a
 threshold-volume bound and a conflict clique (``lower_bound``). Every search
 node is pruned by a cardinality bound from a backward Lawler–Moore table
 (``cover.latest_starts``) and by the conflict clique of the jobs no open
-machine can take. Closed machines, those no remaining job fits on, enter
+machine can take, read from a per-instance table of one rank-indexed DP
+(``clique_rows``). Closed machines, those no remaining job fits on, enter
 the memo key by their number alone. The solver is capped at n <= 20 by
 default (override via the ``limit`` argument, up to MAX_ORACLE_CAP).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule
 from .cover import latest_starts
@@ -65,35 +66,30 @@ class _Budget:
             raise SearchBudgetError("search node budget exhausted")
 
 
-def suffix_cliques(p: Sequence[int], slack: Sequence[int], below: float = math.inf) -> list[int]:
-    """For every j, the most jobs k >= j with slack_k < below that pairwise conflict.
+def clique_rows(p: Sequence[int], slack: Sequence[int], values: list[int]) -> Iterator[list[int]]:
+    """Conflict cliques of every suffix, by the rank of their largest slack.
 
     Jobs i < k conflict when p_i > slack_k: job k cannot start once job i has
-    run, so no two jobs of such a set share a machine and each needs its own.
-    Walking back from the last job, job i joins a set of later jobs when its
-    p exceeds the largest slack in the set, so ``sizes`` maps that largest
-    slack to the most jobs reaching it. Entry n is 0.
+    run, so each job of a pairwise-conflicting set needs its own machine.
+    With ``values = sorted(set(slack))``, the row yielded after job j (for
+    j = n-1 down to 0, one list updated in place) holds in ``row[r]`` the
+    most such jobs of j..n-1 whose largest slack is ``values[r]``. Job i
+    joins the sets whose largest slack ranks below ``cut``, the rank of p_i:
+    a set ranking at most i's own rank takes slack_i as its largest, and one
+    ranking between the two keeps its largest and grows by one.
     """
-    n = len(p)
-    cliques = [0] * (n + 1)
-    sizes: dict[int, int] = {}
-    best = 0
-    for i in range(n - 1, -1, -1):
-        si = slack[i]
-        if si < below:
-            pi = p[i]
-            grown = {si: 1}
-            for top, size in sizes.items():
-                if pi > top:
-                    key = top if top > si else si
-                    if grown.get(key, 0) <= size:
-                        grown[key] = size + 1
-            for key, size in grown.items():
-                if sizes.get(key, 0) < size:
-                    sizes[key] = size
-                    best = max(best, size)
-        cliques[i] = best
-    return cliques
+    row = [0] * len(values)
+    for i in range(len(p) - 1, -1, -1):
+        own = bisect_left(values, slack[i])
+        cut = bisect_left(values, p[i])
+        if own < cut:
+            row[own] = 1 + max(row[: own + 1])
+            for r in range(own + 1, cut):
+                if row[r]:
+                    row[r] += 1
+        else:
+            row[own] = max(row[own], 1 + max(row[:cut], default=0))
+        yield row
 
 
 def lower_bound(instance: Instance) -> int:
@@ -102,7 +98,7 @@ def lower_bound(instance: Instance) -> int:
     The larger of two bounds. Threshold volume: the jobs with deadline at
     most t all run within [0, t] on their machines, so m >= W_t / t for
     every deadline t, with W_t their total work. Conflict clique: jobs that
-    pairwise cannot share a machine (``suffix_cliques``) need one each.
+    pairwise cannot share a machine need one each (``clique_rows``' last row).
     """
     if instance.n == 0:
         return 0
@@ -111,7 +107,9 @@ def lower_bound(instance: Instance) -> int:
     for deadline, length in sorted(zip(d, p)):
         work += length
         volume = max(volume, -(-work // deadline))
-    return max(volume, suffix_cliques(p, [dj - pj for pj, dj in zip(p, d)])[0])
+    slack = [dj - pj for pj, dj in zip(p, d)]
+    *_, row = clique_rows(p, slack, sorted(set(slack)))
+    return max(volume, *row)
 
 
 def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list[int] | None]:
@@ -119,9 +117,11 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
 
     Everything no limit changes is built here, once per instance, and shared
     by the deepening levels: the slacks, the backward Lawler–Moore table
-    (``cover.latest_starts``), the clique cache and ``dead``, where
+    (``cover.latest_starts``), the clique table and ``dead``, where
     ``dead[j]`` is one more than the largest slack of jobs j..n-1. A machine
     loaded to ``dead[j]`` or more is closed: no remaining job fits on it.
+    ``cliques[j][r]`` (a 0, then the running maximum of ``clique_rows``' row
+    j) is the largest clique of jobs j..n-1 whose slacks rank below r.
 
     ``level(machine_limit, budget)`` returns an assignment using at most
     machine_limit machines, or None. Jobs are placed in order, so machines
@@ -141,7 +141,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     - conflict clique: loads only grow, so a remaining job whose slack is
       below the least open load (every remaining job, when none is open)
       must go on a machine not yet open, and a clique of such jobs needs one
-      machine each.
+      machine each: ``cliques[j]`` at the least open load's rank.
     The memo and both prunes only cut subtrees without a feasible leaf, so
     the first feasible leaf, and the assignment returned, is the one the
     plain search finds.
@@ -150,10 +150,8 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     slack = [dj - pj for pj, dj in zip(p, d)]
     slack_values = sorted(set(slack))
     starts = latest_starts(p, d)
-    cliques: dict[int, list[int]] = {}
-    dead = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        dead[j] = max(dead[j + 1], slack[j] + 1)
+    cliques = [[0, *accumulate(row, max)] for row in clique_rows(p, slack, slack_values)][::-1]
+    dead = [top + 1 for top in accumulate(reversed(slack), max)][::-1]
 
     def level(machine_limit: int, budget: _Budget) -> list[int] | None:
         failed: set[tuple[int, int, tuple[int, ...]]] = set()
@@ -171,13 +169,9 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
                 room += bisect_right(row, -load)
             if room < n - j:
                 return True
-            least = live[0] if live else math.inf
-            # the cliques depend on the least load only through which slacks lie below it
-            rank = bisect_left(slack_values, least)
-            below = cliques.get(rank)
-            if below is None:
-                below = cliques[rank] = suffix_cliques(p, slack, least)
-            return below[j] > spare
+            # jobs below the least open load; every remaining job when none is open
+            rank = bisect_left(slack_values, live[0]) if live else len(slack_values)
+            return cliques[j][rank] > spare
 
         def dfs(j: int) -> bool:
             budget.spend()

@@ -312,6 +312,37 @@ def search_unpruned(p: list[int], d: list[int], machine_limit: int) -> list[int]
     return assignment if dfs(0) else None
 
 
+def suffix_cliques(p, slack, below: float = math.inf) -> list[int]:
+    """For every j, the most jobs k >= j with slack_k < below that pairwise conflict.
+
+    The oracle for ``exact.clique_rows`` at sizes enumeration cannot reach:
+    one pass per threshold, keyed by value rather than by rank. Walking back
+    from the last job, job i joins a set of later jobs when its p exceeds
+    the largest slack in the set, so ``sizes`` maps that largest slack to
+    the most jobs reaching it. Entry n is 0.
+    """
+    n = len(p)
+    cliques = [0] * (n + 1)
+    sizes: dict[int, int] = {}
+    best = 0
+    for i in range(n - 1, -1, -1):
+        si = slack[i]
+        if si < below:
+            pi = p[i]
+            grown = {si: 1}
+            for top, size in sizes.items():
+                if pi > top:
+                    key = top if top > si else si
+                    if grown.get(key, 0) <= size:
+                        grown[key] = size + 1
+            for key, size in grown.items():
+                if sizes.get(key, 0) < size:
+                    sizes[key] = size
+                    best = max(best, size)
+        cliques[i] = best
+    return cliques
+
+
 def optimal_unpruned(instance: Instance) -> Schedule:
     """``exact.optimal`` by plain iterative deepening; the assignment oracle.
 

@@ -1,5 +1,6 @@
+import math
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,13 +25,14 @@ from fosched import (
     next_fit,
     optimal,
 )
-from fosched.exact import MAX_ORACLE_CAP, _Budget, _search, suffix_cliques
+from fosched.exact import MAX_ORACLE_CAP, _Budget, _search, clique_rows
 from helpers import (
     NF_HARD_5,
     instances_st,
     optimal_count_bruteforce,
     optimal_unpruned,
     search_unpruned,
+    suffix_cliques,
 )
 
 # Exhausts a 20,000-node budget even with every prune: opt is 9, ff is 10.
@@ -141,11 +143,24 @@ def test_lower_bound_covers_volume_and_forced_first(instance):
     assert lower_bound(instance) >= max(1, volume, len(forced_first))
 
 
+def _clique_table(p, slack):
+    """``_search``'s clique table, with row n of zeros, and the threshold of each rank.
+
+    ``table[j][r]`` is the largest conflict clique of jobs j..n-1 whose
+    slacks lie below ``thresholds[r]``: the r-th distinct slack, or infinity
+    at r = R.
+    """
+    values = sorted(set(slack))
+    table = [[0, *accumulate(row, max)] for row in clique_rows(p, slack, values)][::-1]
+    return table + [[0] * (len(values) + 1)], [*values, math.inf]
+
+
 def test_lower_bound_threshold_volume():
     # three 3-jobs due at 6 need two machines, though the work over the
     # largest deadline and every clique give one
     inst = Instance.from_pairs([(3, 6), (3, 6), (3, 6), (1, 100)])
-    assert suffix_cliques([3, 3, 3, 1], [3, 3, 3, 99])[0] == 1
+    table, _ = _clique_table([3, 3, 3, 1], [3, 3, 3, 99])
+    assert max(table[0]) == 1
     assert lower_bound(inst) == optimal(inst).machine_count == 2
 
 
@@ -159,14 +174,27 @@ def _clique_by_enumeration(p, slack, start, below):
     )
 
 
-@given(instances_st(max_n=9, max_p=6, max_slack=6), st.integers(0, 8))
+@given(instances_st(max_n=9, max_p=6, max_slack=6))
 @settings(max_examples=150)
-def test_suffix_cliques_match_enumeration(instance, below):
+def test_clique_table_matches_enumeration(instance):
+    # every j and every rank 0..R, so every threshold a least load can set
     p = list(instance.p)
     slack = [dj - pj for pj, dj in zip(instance.p, instance.d)]
-    for limit in (below, float("inf")):
-        expected = [_clique_by_enumeration(p, slack, j, limit) for j in range(instance.n + 1)]
-        assert suffix_cliques(p, slack, limit) == expected
+    table, thresholds = _clique_table(p, slack)
+    for r, below in enumerate(thresholds):
+        expected = [_clique_by_enumeration(p, slack, j, below) for j in range(instance.n + 1)]
+        assert [row[r] for row in table] == expected
+
+
+@given(instances_st(max_n=60, max_p=100, max_slack=200))
+@settings(max_examples=100)
+def test_clique_table_matches_dict_dp(instance):
+    # sizes enumeration cannot reach, against the DP keyed by slack value
+    p = list(instance.p)
+    slack = [dj - pj for pj, dj in zip(instance.p, instance.d)]
+    table, thresholds = _clique_table(p, slack)
+    for r, below in enumerate(thresholds):
+        assert [row[r] for row in table] == suffix_cliques(p, slack, below)
 
 
 class TestPrunesKeepTheAssignment:
