@@ -10,10 +10,6 @@ job lowers ``best[k]`` only where the step ``best[k] - best[k-1]`` exceeds
 its processing time, so the running maximum of those steps lets the table
 skip, exactly and in O(1), the many jobs that change nothing. Each round
 removes its picks from the remaining jobs in place.
-
-``latest_starts`` runs the same recursion backwards, over every suffix, for
-the exact search: how many of the remaining jobs a machine can still take
-given the load it already carries.
 """
 
 from __future__ import annotations
@@ -74,38 +70,6 @@ def build_table(p: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int
             widest.append(step)
             below = value
     return best, marks
-
-
-def latest_starts(p: Sequence[int], d: Sequence[int]) -> list[list[int]]:
-    """Negated latest start times by subset size, for every suffix of jobs.
-
-    ``S_j[k]`` is the latest time at which a machine can start and still run
-    some k-subset of jobs j..n-1 back to back within their deadlines. Either
-    the subset skips job j, or it starts with it:
-
-        S_j[k] = max(S_{j+1}[k], min(slack_j, S_{j+1}[k-1] - p_j)),  S_j[0] = inf.
-
-    Sizes with no start at or after time 0 are dropped, so ``S_j`` decreases
-    in k and holds one entry per feasible size. ``table[j]`` lists
-    ``-S_j[1], -S_j[2], ...``, increasing, so the most jobs of j..n-1 a
-    machine already loaded to L can take is ``bisect_right(table[j], -L)``,
-    and ``len(table[j])`` is the largest feasible subset of jobs[j:].
-    """
-    n = len(p)
-    table: list[list[int]] = [[] for _ in range(n + 1)]  # -S_j[1], -S_j[2], ...
-    for j in range(n - 1, -1, -1):
-        later = table[j + 1]
-        pj, neg_slack = p[j], p[j] - d[j]
-        row = []
-        for k in range(1, len(later) + 2):
-            neg_start = neg_slack if k == 1 else max(neg_slack, later[k - 2] + pj)
-            if k <= len(later):
-                neg_start = min(neg_start, later[k - 1])
-            if neg_start > 0:
-                break
-            row.append(neg_start)
-        table[j] = row
-    return table
 
 
 def max_feasible_subset(p: Sequence[int], d: Sequence[int]) -> tuple[int, list[int]]:

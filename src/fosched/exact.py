@@ -4,10 +4,10 @@
 budgets upward from a provable lower bound until a feasible assignment
 exists, so the first success is optimal. The root bound is the larger of a
 threshold-volume bound and a conflict clique (``lower_bound``). Every search
-node is pruned by a cardinality bound from a backward Lawler–Moore table
-(``cover.latest_starts``) and by the conflict clique of the jobs no open
-machine can take, read from a per-instance table of one rank-indexed DP
-(``clique_rows``). Closed machines, those no remaining job fits on, enter
+node is pruned by two per-instance tables: the fewest machines whose last
+jobs' deadlines cover the remaining work (``anchor_counts``), and the
+conflict clique of the jobs no open machine can take, from one rank-indexed
+DP (``clique_rows``). Closed machines, those no remaining job fits on, enter
 the memo key by their number alone. The solver is capped at n <= 20 by
 default (override via the ``limit`` argument, up to MAX_ORACLE_CAP).
 """
@@ -15,11 +15,11 @@ default (override via the ``limit`` argument, up to MAX_ORACLE_CAP).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from heapq import heappush, heappushpop
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule
-from .cover import latest_starts
 from .greedy import first_fit
 
 DEFAULT_ORACLE_CAP = 20
@@ -92,6 +92,32 @@ def clique_rows(p: Sequence[int], slack: Sequence[int], values: list[int]) -> It
         yield row
 
 
+def anchor_counts(p: Sequence[int], d: Sequence[int]) -> list[int]:
+    """For every j, a lower bound on the machines that run jobs j..n-1.
+
+    A machine runs its jobs back to back from 0, so its work fits before the
+    deadline of its last job, its anchor. So the work of every suffix i..n-1
+    fits under the deadlines of the anchors at or after i, and ``counts[j]``
+    is the fewest anchors among jobs j..n-1 that meet every suffix i >= j
+    (``counts[n]`` is 0). Walking back from the last job, each job adds its p
+    to a deficit, and a positive deficit takes the largest deadline not yet
+    taken, which serves every earlier suffix as well as any other. One take
+    suffices: the deficit was at most 0 before job j, and d_j >= p_j.
+    """
+    counts = [0] * (len(p) + 1)
+    deadlines: list[int] = []  # negated, a max-heap of the deadlines not taken
+    deficit = taken = 0
+    for j in range(len(p) - 1, -1, -1):
+        deficit += p[j]
+        if deficit > 0:
+            deficit += heappushpop(deadlines, -d[j])
+            taken += 1
+        else:
+            heappush(deadlines, -d[j])
+        counts[j] = taken
+    return counts
+
+
 def lower_bound(instance: Instance) -> int:
     """A machine count no feasible schedule can beat.
 
@@ -116,10 +142,10 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     """The exact search over the jobs (p[j], d[j]), called once per machine limit.
 
     Everything no limit changes is built here, once per instance, and shared
-    by the deepening levels: the slacks, the backward Lawler–Moore table
-    (``cover.latest_starts``), the clique table and ``dead``, where
-    ``dead[j]`` is one more than the largest slack of jobs j..n-1. A machine
-    loaded to ``dead[j]`` or more is closed: no remaining job fits on it.
+    by the deepening levels: the slacks, ``anchor_counts``, the clique table
+    and ``dead``, where ``dead[j]`` is one more than the largest slack of
+    jobs j..n-1. A machine loaded to ``dead[j]`` or more is closed: no
+    remaining job fits on it.
     ``cliques[j][r]`` (a 0, then the running maximum of ``clique_rows``' row
     j) is the largest clique of jobs j..n-1 whose slacks rank below r.
 
@@ -135,9 +161,9 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     loads): a closed machine's future does not depend on its load, so its
     load leaves the key. Two sound prunes fail a state, into the memo,
     before it branches:
-    - cardinality: a machine loaded to L takes at most kmax(j, L) of the
-      remaining jobs j..n-1 (0 once closed), so the open machines plus the
-      unopened ones, kmax(j, 0) each, must cover n - j jobs;
+    - anchor: every machine that takes one of jobs j..n-1 ends with one of
+      them, and a closed machine takes none, so the open machines and the
+      unopened ones must number at least ``anchors[j]``;
     - conflict clique: loads only grow, so a remaining job whose slack is
       below the least open load (every remaining job, when none is open)
       must go on a machine not yet open, and a clique of such jobs needs one
@@ -149,7 +175,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     n = len(p)
     slack = [dj - pj for pj, dj in zip(p, d)]
     slack_values = sorted(set(slack))
-    starts = latest_starts(p, d)
+    anchors = anchor_counts(p, d)
     cliques = [[0, *accumulate(row, max)] for row in clique_rows(p, slack, slack_values)][::-1]
     dead = [top + 1 for top in accumulate(reversed(slack), max)][::-1]
 
@@ -161,13 +187,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
 
         def doomed(j: int, live: tuple[int, ...]) -> bool:
             spare = machine_limit - len(loads)
-            if spare >= n - j:
-                return False  # one fresh machine per remaining job
-            row = starts[j]
-            room = spare * len(row)
-            for load in live:
-                room += bisect_right(row, -load)
-            if room < n - j:
+            if anchors[j] > spare + len(live):
                 return True
             # jobs below the least open load; every remaining job when none is open
             rank = bisect_left(slack_values, live[0]) if live else len(slack_values)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from itertools import combinations
 
 import hypothesis.strategies as st
 
@@ -24,6 +25,8 @@ from fosched import (
 NF_HARD_5 = Instance.from_pairs([(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)])
 # Its two-machine schedule: odd positions on machine 1, even on machine 2.
 NF_HARD_5_OPT = Schedule((1, 2, 1, 2, 1))
+# Alone, needs 275,496 search nodes to prove 8 machines too few: opt = ff = 9.
+DEEP_TAIL = GenSpec("slack-noninc", n=20, seed=59, p_range=(1, 20), slack_range=(0, 40))
 
 
 @st.composite
@@ -99,8 +102,8 @@ def next_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace,
     return Schedule(tuple(assignment)), tuple(trace)
 
 
-def max_subset_exhaustive(p, d, start: int = 0) -> int:
-    """Largest subset size one machine runs from time ``start``, by trying every subset.
+def max_subset_exhaustive(p, d) -> int:
+    """Largest subset size one machine runs, by trying every subset.
 
     Independent of the dynamic program: plain include/exclude recursion over
     the jobs ``(p[i], d[i])``, carrying the running completion time. Skipping
@@ -116,7 +119,7 @@ def max_subset_exhaustive(p, d, start: int = 0) -> int:
             best = max(best, 1 + walk(idx + 1, completion + p[idx]))
         return best
 
-    return walk(0, start)
+    return walk(0, 0)
 
 
 def build_table_unskipped(p, d) -> tuple[list[int], list[int]]:
@@ -270,7 +273,7 @@ def search_unpruned(p: list[int], d: list[int], machine_limit: int) -> list[int]
     """One level of ``exact._search`` without its prunes or its closed-machine clamp.
 
     The memo key is (next job, every load, sorted), closed machines
-    included, and there is no cardinality or clique prune. The branching is
+    included, and there is no anchor or clique prune. The branching is
     the same: the lowest-labeled machine of each distinct load in ascending
     load order, fresh machine last, so it reaches the same first feasible
     leaf by a longer walk.
@@ -310,6 +313,24 @@ def search_unpruned(p: list[int], d: list[int], machine_limit: int) -> list[int]
         return False
 
     return assignment if dfs(0) else None
+
+
+def anchors_exhaustive(p, d, start: int = 0) -> int:
+    """The fewest anchors among jobs start..n-1 that cover every suffix's work.
+
+    The oracle for ``exact.anchor_counts``: tries every set A of positions
+    at or after ``start``, smallest first, and returns the size of the first
+    one with ``sum(p[i:]) <= sum(d[k] for k in A if k >= i)`` for every
+    i >= start. The full set always qualifies, because d >= p.
+    """
+    n = len(p)
+    for size in range(n - start + 1):
+        for chosen in combinations(range(start, n), size):
+            if all(
+                sum(p[i:]) <= sum(d[k] for k in chosen if k >= i) for i in range(start, n)
+            ):
+                return size
+    raise AssertionError("every job as an anchor covers every suffix")
 
 
 def suffix_cliques(p, slack, below: float = math.inf) -> list[int]:

@@ -11,10 +11,11 @@ import fosched.bench as bench_module
 import fosched.cli as cli_module
 import fosched.greedy as greedy_module
 from fosched import (
-    Instance, OrderClass, Schedule, gen_nf_hard, gen_tight2, instance_to_json, save_instance,
+    Instance, OrderClass, Schedule, gen_nf_hard, gen_random, gen_tight2, instance_to_json,
+    save_instance,
 )
 from fosched.cli import main
-from helpers import first_fit_linear_traced, next_fit_traced
+from helpers import DEEP_TAIL, first_fit_linear_traced, next_fit_traced
 
 
 @pytest.fixture()
@@ -157,11 +158,11 @@ class TestRun:
 
     @staticmethod
     def _deep_instance(tmp_path, loose: int) -> str:
-        # loose unit jobs, then the tight family: the search descends through
-        # every job, one stack frame each
+        # loose unit jobs, then a tail whose search outlasts a 20,000-node
+        # budget: the search descends through every job, one stack frame each
         path = tmp_path / "deep.json"
-        tail = [(job.p, job.d) for job in gen_tight2(3).jobs]
-        save_instance(Instance.from_pairs([(1, 10**6)] * loose + tail), path)
+        tail = gen_random(DEEP_TAIL)
+        save_instance(Instance.from_pairs([(1, 10**6)] * loose + list(zip(tail.p, tail.d))), path)
         return str(path)
 
     def test_oracle_cap_above_the_maximum_is_one_input_error_line(self, tmp_path, capsys, monkeypatch):
@@ -172,7 +173,7 @@ class TestRun:
 
     def test_deep_search_at_the_maximum_cap_ends_in_a_budget_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FOSCHED_ORACLE_CAP", "500")
-        path = self._deep_instance(tmp_path, 490)
+        path = self._deep_instance(tmp_path, 480)
         assert main(["run", "--algo", "opt", "--input", path, "--node-budget", "20000"]) == 3
         assert capsys.readouterr().err.splitlines() == ["error: search node budget exhausted"]
 

@@ -36,11 +36,11 @@ def test_first_fit_probes_and_machines():
 
 
 SEARCH_NODES = {
-    "unit": 268,
-    "slack-noninc": 977,
-    "slack-nondec": 727,
-    "deadline-noninc": 287,
-    "arbitrary": 1_411,
+    "unit": 223,
+    "slack-noninc": 329,
+    "slack-nondec": 467,
+    "deadline-noninc": 317,
+    "arbitrary": 1_253,
 }
 
 
@@ -69,7 +69,16 @@ def test_search_nodes_on_a_paper_sweep_shaped_corpus():
         for family in RANDOM_FAMILIES
         for seed in range(20)
     ]
-    assert _deepening_nodes(instances) == 6_157
+    assert _deepening_nodes(instances) == 5_046
+
+
+def test_search_nodes_on_small_nonincreasing_slacks():
+    # the shape whose node count depends most on which prunes run
+    instances = [
+        gen_random(GenSpec("slack-noninc", n=20, seed=seed, slack_range=(0, 20)))
+        for seed in range(40)
+    ]
+    assert _deepening_nodes(instances) == 196_639
 
 
 def test_cover_machines_and_jobs_per_round():

@@ -1,12 +1,10 @@
 import math
 import random
-from bisect import bisect_right
 from unittest import mock
 
 from hypothesis import given, settings
 
 import fosched.cover as cover_module
-from fosched.cover import latest_starts
 from fosched import (
     GenSpec,
     Instance,
@@ -160,46 +158,6 @@ class TestMaxFeasibleSubset:
                 pairs.append((p, p + rng.randint(0, rng.choice((0, 2, 10, 60)))))
             inst = Instance.from_pairs(pairs)
             assert max_feasible_subset(inst.p, inst.d) == max_feasible_subset_table(inst.p, inst.d), pairs
-
-
-def _kmax(table: list[list[int]], j: int, load: int) -> int:
-    return bisect_right(table[j], -load)
-
-
-class TestLatestStarts:
-    def test_growth_family(self):
-        # jobs (1,1),(2,2),(3,4),(5,7),(8,12): (8,12) alone starts by 4,
-        # (3,4) then (8,12) by 1, three odd-position jobs only at 0, and no
-        # four fit on one machine
-        table = latest_starts(NF_HARD_5.p, NF_HARD_5.d)
-        assert table[0] == [-4, -1, 0]
-        assert table[3] == table[4] == [-4] and table[5] == []
-
-    def test_entries_increase_and_stay_at_most_zero(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            p = [rng.randint(1, 6) for _ in range(12)]
-            d = [pj + rng.randint(0, 15) for pj in p]
-            for row in latest_starts(p, d):
-                assert row == sorted(row) and all(value <= 0 for value in row)
-
-    @given(instances_st(max_n=12, max_slack=20))
-    @settings(max_examples=150)
-    def test_unloaded_machine_matches_the_forward_dp(self, instance):
-        p, d = instance.p, instance.d
-        table = latest_starts(p, d)
-        assert len(table) == instance.n + 1
-        for j in range(instance.n + 1):
-            assert _kmax(table, j, 0) == len(table[j]) == max_feasible_subset(p[j:], d[j:])[0]
-
-    @given(instances_st(max_n=9, max_slack=20))
-    @settings(max_examples=120)
-    def test_loaded_machine_matches_enumeration(self, instance):
-        p, d = instance.p, instance.d
-        table = latest_starts(p, d)
-        for j in range(instance.n + 1):
-            for load in range(0, 32, 3):
-                assert _kmax(table, j, load) == max_subset_exhaustive(p[j:], d[j:], load)
 
 
 class TestSetCoverGreedy:

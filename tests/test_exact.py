@@ -25,9 +25,11 @@ from fosched import (
     next_fit,
     optimal,
 )
-from fosched.exact import MAX_ORACLE_CAP, _Budget, _search, clique_rows
+from fosched.exact import MAX_ORACLE_CAP, _Budget, _search, anchor_counts, clique_rows
 from helpers import (
+    DEEP_TAIL,
     NF_HARD_5,
+    anchors_exhaustive,
     instances_st,
     optimal_count_bruteforce,
     optimal_unpruned,
@@ -197,6 +199,28 @@ def test_clique_table_matches_dict_dp(instance):
         assert [row[r] for row in table] == suffix_cliques(p, slack, below)
 
 
+class TestAnchorCounts:
+    def test_growth_family(self):
+        # (8,12) covers its own work; (5,7) brings the work to 13, past 12,
+        # so it is taken too, and 12 + 7 covers all 19 of the work
+        assert anchor_counts(NF_HARD_5.p, NF_HARD_5.d) == [2, 2, 2, 2, 1, 0]
+
+    @given(instances_st(max_n=10, max_slack=20))
+    @settings(max_examples=150)
+    def test_matches_the_least_anchor_set_at_every_suffix(self, instance):
+        p, d = instance.p, instance.d
+        expected = [anchors_exhaustive(p, d, j) for j in range(instance.n + 1)]
+        assert anchor_counts(p, d) == expected
+
+    @given(instances_st(max_n=10))
+    @settings(max_examples=60)
+    def test_never_exceeds_the_optimum_of_any_suffix(self, instance):
+        p, d = instance.p, instance.d
+        counts = anchor_counts(p, d)
+        for j in range(instance.n + 1):
+            assert counts[j] <= optimal(Instance(p[j:], d[j:])).machine_count
+
+
 class TestPrunesKeepTheAssignment:
     """A sound prune cuts only failing subtrees, so the first feasible leaf,
     and with it the assignment, is the plain search's."""
@@ -212,10 +236,14 @@ class TestPrunesKeepTheAssignment:
             instance = gen_random(GenSpec(family, n=14, seed=seed))
             assert optimal(instance).assignment == optimal_unpruned(instance).assignment, seed
 
-    @pytest.mark.parametrize("family", RANDOM_FAMILIES)
-    def test_every_level_matches_the_unpruned_search(self, family):
+    @pytest.mark.parametrize(
+        "family, slack_range",
+        [pytest.param(family, (0, 10), id=family) for family in RANDOM_FAMILIES]
+        + [pytest.param("slack-noninc", (0, 20), id="slack-noninc-slack-0-20")],
+    )
+    def test_every_level_matches_the_unpruned_search(self, family, slack_range):
         for seed in range(5):
-            instance = gen_random(GenSpec(family, n=10, seed=seed))
+            instance = gen_random(GenSpec(family, n=10, seed=seed, slack_range=slack_range))
             search = _search(instance.p, instance.d)
             for machines in range(0, first_fit(instance).machine_count + 2):
                 pruned = search(machines, _Budget(None))
@@ -290,12 +318,13 @@ class TestCapsAndBudgets:
         with pytest.raises(SearchBudgetError) as exc:
             optimal(gen_tight2(2), node_budget=1)
         assert (exc.value.lower_bound, exc.value.upper_bound) == (3, 5)
-        # root bound 3, first fit 5: level 3 fails in 16 nodes, so a budget of
-        # 21 proves it infeasible and runs out on the feasible level 4
+        # root bound 3, first fit 5: level 3 fails in 1 node and level 4
+        # solves in 12, so a budget of 6 proves level 3 infeasible and runs
+        # out on the feasible level 4
         instance = gen_random(GenSpec("slack-noninc", n=10, seed=1))
         assert lower_bound(instance) == 3 and optimal(instance).machine_count == 4
         with pytest.raises(SearchBudgetError, match="^search node budget exhausted$") as exc:
-            optimal(instance, node_budget=21)
+            optimal(instance, node_budget=6)
         assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
 
     def test_generous_budget_succeeds(self):
@@ -326,22 +355,22 @@ class TestCapsAndBudgets:
             optimal(NF_HARD_5, limit=MAX_ORACLE_CAP + 1)
 
     @staticmethod
-    def _deep(k: int) -> Instance:
-        # loose unit jobs, then the tight family: the search places every
-        # job, one stack frame each, MAX_ORACLE_CAP frames deep
-        tight = gen_tight2(k)
-        tail = list(zip(tight.p, tight.d))
-        return Instance.from_pairs([(1, 10**6)] * (MAX_ORACLE_CAP - len(tail)) + tail)
+    def _deep(tail: Instance) -> Instance:
+        # loose unit jobs, then a tail the first machine cannot take: the
+        # search places every job, one stack frame each, MAX_ORACLE_CAP
+        # frames deep
+        pairs = list(zip(tail.p, tail.d))
+        return Instance.from_pairs([(1, 10**6)] * (MAX_ORACLE_CAP - len(pairs)) + pairs)
 
     def test_deepest_instance_within_the_maximum_solves(self):
-        inst = self._deep(1)
+        inst = self._deep(gen_tight2(1))
         found = optimal(inst, limit=MAX_ORACLE_CAP, node_budget=20_000)
         assert found.machine_count == 3 and is_feasible(inst, found)
 
     def test_deepest_instance_within_the_maximum_ends_in_a_budget_error(self):
         with pytest.raises(SearchBudgetError) as exc:
-            optimal(self._deep(3), limit=MAX_ORACLE_CAP, node_budget=20_000)
-        assert exc.value.upper_bound == 8
+            optimal(self._deep(gen_random(DEEP_TAIL)), limit=MAX_ORACLE_CAP, node_budget=20_000)
+        assert exc.value.upper_bound == 10
 
     def test_zero_budget_still_solves_without_search(self):
         loose = Instance.from_pairs([(1, 10)] * 3)  # first fit meets the lower bound
