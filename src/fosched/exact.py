@@ -67,28 +67,31 @@ class _Budget:
 
 
 def clique_rows(p: Sequence[int], slack: Sequence[int], values: list[int]) -> Iterator[list[int]]:
-    """Conflict cliques of every suffix, by the rank of their largest slack.
+    """Conflict cliques of every suffix, by the rank of their slacks.
 
     Jobs i < k conflict when p_i > slack_k: job k cannot start once job i has
     run, so each job of a pairwise-conflicting set needs its own machine.
     With ``values = sorted(set(slack))``, the row yielded after job j (for
-    j = n-1 down to 0, one list updated in place) holds in ``row[r]`` the
-    most such jobs of j..n-1 whose largest slack is ``values[r]``. Job i
-    joins the sets whose largest slack ranks below ``cut``, the rank of p_i:
-    a set ranking at most i's own rank takes slack_i as its largest, and one
-    ranking between the two keeps its largest and grows by one.
+    j = n-1 down to 0, one list of R+1 entries updated in place) holds in
+    ``row[r]`` the most such jobs of j..n-1 whose slacks all rank below r,
+    so it never decreases along r. Job i joins the sets below ``cut``, the
+    rank of p_i: a set with none of its slacks above i's own rank takes
+    slack_i as its largest, and one with its largest between the two keeps
+    it and grows by one. So every entry from ``own + 1`` to ``cut`` grows
+    by one, and the entries after both are raised to the new size of the
+    best set job i joins.
     """
-    row = [0] * len(values)
+    row = [0] * (len(values) + 1)
     for i in range(len(p) - 1, -1, -1):
         own = bisect_left(values, slack[i])
         cut = bisect_left(values, p[i])
         if own < cut:
-            row[own] = 1 + max(row[: own + 1])
-            for r in range(own + 1, cut):
-                if row[r]:
-                    row[r] += 1
+            row[own + 1 : cut + 1] = [size + 1 for size in row[own + 1 : cut + 1]]
+            start, best = cut + 1, row[cut]
         else:
-            row[own] = max(row[own], 1 + max(row[:cut], default=0))
+            start, best = own + 1, row[cut] + 1
+        stop = bisect_left(row, best, start)
+        row[start:stop] = [best] * (stop - start)
         yield row
 
 
@@ -135,7 +138,7 @@ def lower_bound(instance: Instance) -> int:
         volume = max(volume, -(-work // deadline))
     slack = [dj - pj for pj, dj in zip(p, d)]
     *_, row = clique_rows(p, slack, sorted(set(slack)))
-    return max(volume, *row)
+    return max(volume, row[-1])
 
 
 def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list[int] | None]:
@@ -146,8 +149,8 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     and ``dead``, where ``dead[j]`` is one more than the largest slack of
     jobs j..n-1. A machine loaded to ``dead[j]`` or more is closed: no
     remaining job fits on it.
-    ``cliques[j][r]`` (a 0, then the running maximum of ``clique_rows``' row
-    j) is the largest clique of jobs j..n-1 whose slacks rank below r.
+    ``cliques[j][r]``, a copy of ``clique_rows``' row j, is the largest
+    clique of jobs j..n-1 whose slacks rank below r.
 
     ``level(machine_limit, budget)`` returns an assignment using at most
     machine_limit machines, or None. Jobs are placed in order, so machines
@@ -176,7 +179,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     slack = [dj - pj for pj, dj in zip(p, d)]
     slack_values = sorted(set(slack))
     anchors = anchor_counts(p, d)
-    cliques = [[0, *accumulate(row, max)] for row in clique_rows(p, slack, slack_values)][::-1]
+    cliques = [row[:] for row in clique_rows(p, slack, slack_values)][::-1]
     dead = [top + 1 for top in accumulate(reversed(slack), max)][::-1]
 
     def level(machine_limit: int, budget: _Budget) -> list[int] | None:

@@ -5,7 +5,9 @@ them on a prefix of an instance reproduces a prefix of their output. Next
 fit probes only the most recently opened machine. First fit wants the
 lowest-labeled machine that admits the job; since d >= p, "load + p <= d" is
 the same test as "load <= slack", so a min-load tournament tree over machine
-labels finds that machine in O(log m) (Johnson, JCSS 8(3), 1974).
+labels finds that machine in O(log m) (Johnson, JCSS 8(3), 1974). The tree
+starts at one leaf and doubles when every leaf is an open machine and none
+admits the job, so its size follows the machines opened, not the job count.
 
 A rule's trace depends only on the instance and the schedule it produced, so
 ``placement_trace`` derives it afterwards. Its ``tried`` counts the rule's
@@ -57,16 +59,24 @@ def first_fit(instance: Instance) -> Schedule:
 
 def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
     # Min-load tree over `size` leaves; leaf size + i holds machine i+1's
-    # load and unopened machines read 0. Before job j at most j < size
-    # machines are open and slack >= 0, so when no open machine admits the
-    # job the descent lands on the next fresh one.
+    # load and unopened machines read 0. Since slack >= 0, a root above the
+    # slack means every leaf is an open machine and none admits the job.
+    # Then the tree doubles: each level moves into the left half of the
+    # level below it, and the new right half is unopened, so the root reads
+    # 0 and the descent lands on machine size + 1.
     size = 1
-    while size < instance.n:
-        size *= 2
-    tree = [0] * (2 * size)  # inner node v: min of nodes 2v and 2v+1; root at 1
+    tree = [0, 0]  # inner node v: min of nodes 2v and 2v+1; root at 1
     assignment: list[int] = []
     for p, d in zip(instance.p, instance.d):
         slack = d - p
+        if tree[1] > slack:
+            grown = [0] * (4 * size)
+            width = 1
+            while width <= size:
+                grown[2 * width : 3 * width] = tree[width : 2 * width]
+                width *= 2
+            tree = grown
+            size *= 2
         node = 1
         while node < size:  # leftmost leaf with load <= slack
             node *= 2

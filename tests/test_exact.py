@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -153,7 +153,7 @@ def _clique_table(p, slack):
     at r = R.
     """
     values = sorted(set(slack))
-    table = [[0, *accumulate(row, max)] for row in clique_rows(p, slack, values)][::-1]
+    table = [row[:] for row in clique_rows(p, slack, values)][::-1]
     return table + [[0] * (len(values) + 1)], [*values, math.inf]
 
 

@@ -3,7 +3,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from fosched import (
+    RANDOM_FAMILIES,
     CoverageError,
+    GenSpec,
     InputError,
     Instance,
     Schedule,
@@ -11,6 +13,7 @@ from fosched import (
     first_fit_traced,
     gen_nf_hard,
     gen_tight2,
+    generate,
     is_feasible,
     loads,
     next_fit,
@@ -119,6 +122,20 @@ class TestTreeMatchesLinearScan:
     @pytest.mark.parametrize("k", range(1, 31))
     def test_tight2(self, k):
         assert_matches_oracles(gen_tight2(k))
+
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES)
+    def test_large_instance_of_each_family(self, family):
+        # the benchmark's n=10k shape at n=2,000: 35-354 machines, so the
+        # tree doubles six to nine times while loads are spread over it
+        spec = GenSpec(family, n=2_000, seed=0, p_range=(1, 10), slack_range=(0, 100))
+        assert_matches_oracles(generate(spec))
+
+    def test_job_returns_to_the_left_half_after_growth(self):
+        # the zero-slack jobs grow the tree to 2 and then 4 leaves; the last
+        # job fits machine 1 again, in the left half of both growths
+        inst = Instance.from_pairs([(1, 5), (1, 1), (1, 1), (1, 5)])
+        assert first_fit(inst).assignment == (1, 2, 3, 1)
+        assert_matches_oracles(inst)
 
 
 class TestPlacementTrace:
