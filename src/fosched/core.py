@@ -226,7 +226,7 @@ def instance_to_json(instance: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid instance file: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")

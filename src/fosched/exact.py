@@ -3,13 +3,13 @@
 ``optimal`` runs an iterative-deepening depth-first search: it tries machine
 budgets upward from a provable lower bound until a feasible assignment
 exists, so the first success is optimal. The root bound is the larger of a
-threshold-volume bound and a conflict clique (``lower_bound``). Every search
-node is pruned by two per-instance tables: the fewest machines whose last
-jobs' deadlines cover the remaining work (``anchor_counts``), and the
-conflict clique of the jobs no open machine can take, from one rank-indexed
-DP (``clique_rows``). Closed machines, those no remaining job fits on, enter
-the memo key by their number alone. The solver is capped at n <= 20 by
-default (override via the ``limit`` argument, up to MAX_ORACLE_CAP).
+threshold-volume bound and a conflict clique (``lower_bound``). A search node
+is the machines' sorted loads alone, pruned by two per-instance tables: the
+fewest machines whose last jobs' deadlines cover the remaining work
+(``anchor_counts``) and the conflict clique of the jobs no open machine can
+take (``clique_rows``). Closed machines, which no remaining job fits on,
+enter the memo key by their number alone; labels are read off the winning
+path once. n is capped at 20 by default (``limit``, up to MAX_ORACLE_CAP).
 """
 
 from __future__ import annotations
@@ -153,12 +153,11 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     clique of jobs j..n-1 whose slacks rank below r.
 
     ``level(machine_limit, budget)`` returns an assignment using at most
-    machine_limit machines, or None. Jobs are placed in order, so machines
-    are labeled in first-use order by construction. The loads stay sorted as
-    the search goes, ties by label, with the labels in a parallel list, so no
-    node sorts. Children are the lowest-labeled machine of each distinct load
-    that fits, in ascending load order (machines with equal loads are
-    interchangeable), then a fresh machine.
+    machine_limit machines, or None. Machines with equal loads are
+    interchangeable, so a node holds only the ascending loads, kept sorted
+    so no node sorts. Children are one machine of each distinct load that
+    fits, in ascending load order, then a fresh machine. Only the winning
+    path records the load it chose per job; the labels are read off those.
 
     States that failed once are memoized by (next job, closed machines, open
     loads): a closed machine's future does not depend on its load, so its
@@ -184,9 +183,8 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
 
     def level(machine_limit: int, budget: _Budget) -> list[int] | None:
         failed: set[tuple[int, int, tuple[int, ...]]] = set()
-        loads: list[int] = []  # ascending, ties by label
-        labels: list[int] = []
-        assignment: list[int] = []
+        loads: list[int] = []  # ascending
+        chosen: list[int] = []  # the load each job went on, 0 when fresh; last job first
 
         def doomed(j: int, live: tuple[int, ...]) -> bool:
             spare = machine_limit - len(loads)
@@ -214,35 +212,36 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
                 if load == last_load:
                     continue
                 last_load = load
-                label = labels[i]
-                del loads[i], labels[i]
+                del loads[i]
                 grown = load + pj
                 k = bisect_left(loads, grown, i)
-                while k < len(loads) and loads[k] == grown and labels[k] < label:
-                    k += 1
                 loads.insert(k, grown)
-                labels.insert(k, label)
-                assignment.append(label)
                 if dfs(j + 1):
+                    chosen.append(load)
                     return True
-                assignment.pop()
-                del loads[k], labels[k]
+                del loads[k]
                 loads.insert(i, load)
-                labels.insert(i, label)
             if len(loads) < machine_limit:
-                label = len(loads) + 1
-                k = bisect_right(loads, pj)
+                k = bisect_left(loads, pj)
                 loads.insert(k, pj)
-                labels.insert(k, label)
-                assignment.append(label)
                 if dfs(j + 1):
+                    chosen.append(0)
                     return True
-                assignment.pop()
-                del loads[k], labels[k]
+                del loads[k]
             failed.add(key)
             return False
 
-        return assignment if dfs(0) else None
+        if not dfs(0):
+            return None
+        # The lowest label holding the chosen load is the machine the search
+        # meant. Only unopened machines hold 0 (p >= 1), so they open in order.
+        by_label = [0] * machine_limit
+        assignment = []
+        for pj, load in zip(p, reversed(chosen)):
+            label = by_label.index(load)
+            by_label[label] += pj
+            assignment.append(label + 1)
+        return assignment
 
     return level
 

@@ -368,20 +368,36 @@ def test_jobs_below_one_is_one_input_error_line(tmp_path, capsys, monkeypatch, j
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "bench"])
-def test_deeply_nested_json_is_one_input_error_line(tmp_path, capsys, command):
-    deep, out = tmp_path / "deep.json", tmp_path / "r.csv"
-    deep.write_text("[" * 200_000)
+# Past Python's 4,300-digit limit on int literals, json.loads raises a bare
+# ValueError; where there is no limit, the value itself is out of range.
+_LONG_INT = "1" + "0" * 5_000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param("run", "[" * 200_000, id="run"),
+        pytest.param("bench", "[" * 200_000, id="bench"),
+        pytest.param("run", f'{{"jobs": [{{"p": {_LONG_INT}, "d": 1}}]}}', id="run-long-int"),
+        pytest.param(
+            "bench", f'{{"sweeps": [{{"family": "arbitrary", "n": {_LONG_INT}}}]}}', id="bench-long-int"
+        ),
+    ],
+)
+def test_deeply_nested_json_is_one_input_error_line(tmp_path, capsys, command, text):
+    src, out = tmp_path / "in.json", tmp_path / "r.csv"
+    src.write_text(text)
     argv = {
-        "run": ["run", "--algo", "ff", "--input", str(deep)],
-        "bench": ["bench", "--sweep", str(deep), "--out", str(out)],
+        "run": ["run", "--algo", "ff", "--input", str(src)],
+        "bench": ["bench", "--sweep", str(src), "--out", str(out)],
     }[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error: invalid ")
-    assert "recursion" in err[0]
+    assert len(err) == 1 and err[0].startswith("input error:")
+    if text.startswith("["):
+        assert err[0].startswith("input error: invalid ") and "recursion" in err[0]
     assert not out.exists()
 
 
