@@ -23,6 +23,7 @@ from .cover import setcover_greedy
 from .exact import DEFAULT_ORACLE_CAP, CapacityError, SearchBudgetError, optimal
 from .greedy import first_fit, next_fit
 from .instances import (
+    FAMILIES,
     MAX_JOBS,
     GenSpec,
     _int_pair,
@@ -414,24 +415,28 @@ def _seeded_specs(template: GenSpec, count: int) -> Iterator[GenSpec]:
     return (replace(template, seed=(template.seed + i) % 2**64) for i in range(count))
 
 
-_ENTRY_KEYS = {
-    "family", "algorithms", "n", "n_range", "k", "k_range", "count", "seed", "p_range", "slack_range",
-}
+_RANDOM_ENTRY_KEYS = {"family", "algorithms", "n", "count", "seed", "p_range", "slack_range"}
 
 
 def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, GenSpec]]]:
     """The jobs the entry would generate, from its fields alone, and its
     (id, spec) pairs, built lazily; the entry's fields are checked first.
 
-    Every instance counts at least one job, so a sweep of many empty
-    instances is bounded too.
+    An entry takes only the keys its family reads: nf-hard one of n and
+    n_range, tight-2 one of k and k_range. Every instance counts at least
+    one job, so a sweep of many empty instances is bounded too.
     """
-    unknown = set(entry) - _ENTRY_KEYS
-    if unknown:
-        raise InputError(f"unknown sweep keys: {sorted(unknown)}")
-    family = entry.get("family")
-    if family in ("nf-hard", "tight-2"):
-        key = "n" if family == "nf-hard" else "k"
+    family = entry["family"]
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    key = {"nf-hard": "n", "tight-2": "k"}.get(family)
+    allowed = _RANDOM_ENTRY_KEYS if key is None else {"family", "algorithms", key, f"{key}_range"}
+    extra = set(entry) - allowed
+    if extra:
+        raise InputError(f"{family} entries take no {sorted(extra)}")
+    if key is not None:
+        if key in entry and f"{key}_range" in entry:
+            raise InputError(f"{family} entries take one of {key} and {key}_range, not both")
         if f"{key}_range" in entry:
             lo, hi = _int_pair(entry[f"{key}_range"], f"{key}_range")
         else:
@@ -449,7 +454,7 @@ def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, GenSpec]]]:
         specs = ((f"{family}-{key}{v}", GenSpec(family, **{key: v})) for v in range(lo, hi + 1))
         return jobs, specs
     count = _count(entry)
-    ranges = {key: entry[key] for key in ("p_range", "slack_range") if key in entry}
+    ranges = {name: entry[name] for name in ("p_range", "slack_range") if name in entry}
     base = GenSpec(family, n=entry["n"], seed=entry.get("seed", 0), **ranges)
     specs = ((f"{family}-n{s.n}-s{s.seed}", s) for s in _seeded_specs(base, count))
     return count * max(base.n, 1), specs

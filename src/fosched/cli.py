@@ -32,7 +32,7 @@ from .bench import (
     REPORT_COLUMNS,
 )
 from .core import InputError, instance_to_json, load_instance
-from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, SearchBudgetError
+from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP
 from .greedy import placement_trace
 from .instances import FAMILIES, GenSpec, generate
 
@@ -243,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except SearchBudgetError as exc:
-        sys.stderr.write(f"budget error: {exc}\n")
-        return EXIT_BUDGET
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_INPUT

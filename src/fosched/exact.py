@@ -14,6 +14,7 @@ path once. n is capped at 20 by default (``limit``, up to MAX_ORACLE_CAP).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from heapq import heappush, heappushpop
 from itertools import accumulate
@@ -48,22 +49,6 @@ class SearchBudgetError(RuntimeError):
         super().__init__(message)
         self.upper_bound = upper_bound
         self.lower_bound = lower_bound
-
-
-class _Budget:
-    """Shared node counter; None means unlimited."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, nodes: int | None):
-        self.remaining = nodes
-
-    def spend(self) -> None:
-        if self.remaining is None:
-            return
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise SearchBudgetError("search node budget exhausted")
 
 
 def clique_rows(p: Sequence[int], slack: Sequence[int], values: list[int]) -> Iterator[list[int]]:
@@ -141,7 +126,9 @@ def lower_bound(instance: Instance) -> int:
     return max(volume, row[-1])
 
 
-def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list[int] | None]:
+def _search(
+    p: Sequence[int], d: Sequence[int]
+) -> Callable[[int, float], tuple[list[int] | None, float]]:
     """The exact search over the jobs (p[j], d[j]), called once per machine limit.
 
     Everything no limit changes is built here, once per instance, and shared
@@ -152,12 +139,14 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     ``cliques[j][r]``, a copy of ``clique_rows``' row j, is the largest
     clique of jobs j..n-1 whose slacks rank below r.
 
-    ``level(machine_limit, budget)`` returns an assignment using at most
-    machine_limit machines, or None. Machines with equal loads are
-    interchangeable, so a node holds only the ascending loads, kept sorted
-    so no node sorts. Children are one machine of each distinct load that
-    fits, in ascending load order, then a fresh machine. Only the winning
-    path records the load it chose per job; the labels are read off those.
+    ``level(machine_limit, nodes)`` returns an assignment using at most
+    machine_limit machines, or None, and the nodes left of ``nodes``: each
+    search node spends one, and SearchBudgetError is raised when none is
+    left to spend. Machines with equal loads are interchangeable, so a node
+    holds only the ascending loads, kept sorted so no node sorts. Children
+    are one machine of each distinct load that fits, in ascending load
+    order, then a fresh machine. Only the winning path records the load it
+    chose per job; the labels are read off those.
 
     States that failed once are memoized by (next job, closed machines, open
     loads): a closed machine's future does not depend on its load, so its
@@ -181,7 +170,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
     cliques = [row[:] for row in clique_rows(p, slack, slack_values)][::-1]
     dead = [top + 1 for top in accumulate(reversed(slack), max)][::-1]
 
-    def level(machine_limit: int, budget: _Budget) -> list[int] | None:
+    def level(machine_limit: int, nodes: float) -> tuple[list[int] | None, float]:
         failed: set[tuple[int, int, tuple[int, ...]]] = set()
         loads: list[int] = []  # ascending
         chosen: list[int] = []  # the load each job went on, 0 when fresh; last job first
@@ -195,7 +184,10 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
             return cliques[j][rank] > spare
 
         def dfs(j: int) -> bool:
-            budget.spend()
+            nonlocal nodes
+            nodes -= 1
+            if nodes < 0:
+                raise SearchBudgetError("search node budget exhausted")
             if j == n:
                 return True
             live = tuple(loads[: bisect_left(loads, dead[j])])
@@ -232,7 +224,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
             return False
 
         if not dfs(0):
-            return None
+            return None, nodes
         # The lowest label holding the chosen load is the machine the search
         # meant. Only unopened machines hold 0 (p >= 1), so they open in order.
         by_label = [0] * machine_limit
@@ -241,7 +233,7 @@ def _search(p: Sequence[int], d: Sequence[int]) -> Callable[[int, _Budget], list
             label = by_label.index(load)
             by_label[label] += pj
             assignment.append(label + 1)
-        return assignment
+        return assignment, nodes
 
     return level
 
@@ -264,17 +256,15 @@ def optimal(
         raise InputError(f"exact solver cap must be <= {MAX_ORACLE_CAP}, got {limit}")
     if instance.n > limit:
         raise CapacityError(f"instance has {instance.n} jobs, exact solver cap is {limit}")
-    if instance.n == 0:
-        return Schedule._trusted(())
     seed = first_fit(instance)
     floor = lower_bound(instance)
     if seed.machine_count <= floor:
         return seed
-    budget = _Budget(node_budget)
+    nodes = math.inf if node_budget is None else node_budget
     search = _search(instance.p, instance.d)
     for m in range(floor, seed.machine_count):
         try:
-            found = search(m, budget)
+            found, nodes = search(m, nodes)
         except SearchBudgetError as exc:
             raise SearchBudgetError(
                 str(exc), upper_bound=seed.machine_count, lower_bound=m

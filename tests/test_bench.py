@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from fosched import (
     InputError,
     Instance,
     OrderClass,
+    Schedule,
     assert_bounds,
     counterexample_search,
     emit_report,
@@ -74,6 +76,12 @@ class TestRun:
     def test_budget_failure_lands_in_the_report(self):
         reports = run(gen_tight2(2), ("opt",), node_budget=1)
         assert reports[0].error_kind == "budget"
+
+    def test_infeasible_schedule_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(bench_module, "next_fit", lambda inst: Schedule((1,) * inst.n))
+        assert not is_feasible(NF_HARD_5, Schedule((1,) * NF_HARD_5.n))
+        with pytest.raises(RuntimeError, match="^nf produced an infeasible schedule$"):
+            run(NF_HARD_5, ("ff", "nf"))
 
 
 class TestOracleCap:
@@ -330,11 +338,32 @@ class TestSweeps:
             {"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": 5},
             {"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": "ff"},
             {"sweeps": [{"family": "arbitrary", "n": 3, "count": True}]},
+            {"sweeps": [{"family": "arbitrary", "n": 3, "n_range": [50, 60]}]},
+            {"sweeps": [{"family": "unit", "n": 3, "k": 2}]},
+            {"sweeps": [{"family": "nf-hard", "n": 5, "count": 2}]},
+            {"sweeps": [{"family": "nf-hard", "n": 5, "seed": 1}]},
+            {"sweeps": [{"family": "nf-hard", "n": 5, "p_range": [1, 2]}]},
+            {"sweeps": [{"family": "nf-hard", "n": 5, "n_range": [3, 4]}]},
+            {"sweeps": [{"family": "tight-2", "k": 2, "n": 5}]},
+            {"sweeps": [{"family": "tight-2", "k": 2, "k_range": [1, 2]}]},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
         with pytest.raises(InputError):
             expand_sweep(doc)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"family": "nf-hard", "n": 5, "count": 2}, "nf-hard entries take no ['count']"),
+            ({"family": "unit", "n": 3, "k": 2, "oops": 1}, "unit entries take no ['k', 'oops']"),
+            ({"family": "what", "oops": 1}, "unknown family 'what'"),
+            ({"family": "nf-hard", "n": 5, "n_range": [3, 4]}, "take one of n and n_range, not both"),
+        ],
+    )
+    def test_keys_outside_the_family_are_named(self, entry, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            expand_sweep({"sweeps": [entry]})
 
     @pytest.mark.parametrize(
         "entries",
@@ -368,6 +397,13 @@ class TestSweeps:
             {"seed": "x"},
             {"family": "what"},
             {"oops": 1},
+            {"n_range": [50, 60]},
+            {"k": 2},
+            {"family": "nf-hard", "count": 2},
+            {"family": "nf-hard", "seed": 1},
+            {"family": "nf-hard", "p_range": [1, 2]},
+            {"family": "nf-hard", "n_range": [3, 4]},
+            {"family": "tight-2", "k": 1},
         ],
     )
     def test_every_entry_is_checked_before_generating(self, monkeypatch, fault):
@@ -449,6 +485,15 @@ class TestSweeps:
 
         assert [key(r) for r in serial] == [key(r) for r in parallel]
         assert serial[0].ff == 2 and serial[0].nf == 3 and serial[0].opt == 2
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_run_sweep_below_one_job_is_input_error(self, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated a task")
+
+        monkeypatch.setattr(bench_module, "evaluate", refuse)
+        with pytest.raises(InputError, match=f"^jobs must be >= 1, got {jobs}$"):
+            run_sweep(expand_sweep(SWEEP_DOC), jobs=jobs)
 
     def test_importing_fosched_leaves_the_process_pool_unloaded(self):
         src = str(Path(bench_module.__file__).parents[1])

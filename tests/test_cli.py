@@ -73,6 +73,26 @@ class TestRun:
         assert all(len(row) == 5 for row in rows)
         assert rows[1][4] == "instance has 21 jobs, exact solver cap is 20"
 
+    def test_csv_trace_goes_to_stderr(self, nf_hard_file, capsys):
+        assert main(["run", "--algo", "all", "--input", nf_hard_file, "--trace"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        expected = [
+            f"trace {row['algorithm']}: job={t['job']} tried={t['tried']} "
+            f"machine={t['machine']} load={t['load_after']}"
+            for row in rows
+            for t in row.get("trace", ())
+        ]
+        argv = ["run", "--algo", "all", "--input", nf_hard_file, "--format", "csv", "--trace"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert err == expected
+        assert [line.split(":")[0] for line in err] == ["trace ff"] * 5 + ["trace nf"] * 5
+        out = list(csv.reader(captured.out.splitlines()))
+        assert out[0] == ["algorithm", "machines", "ms", "assignment", "error"]
+        assert [row[0] for row in out[1:]] == ["ff", "nf", "cover", "opt"]
+        assert all(len(row) == 5 for row in out)
+
     def test_trace_rows(self, nf_hard_file, capsys):
         assert main(["run", "--algo", "ff", "--input", nf_hard_file, "--trace"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -293,6 +313,7 @@ class TestBench:
             b'{"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": 5}',
             b'{"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": "ff"}',
             b'{"sweeps": [{"family": "arbitrary", "n": 3, "count": true}]}',
+            b'{"sweeps": [5]}',
         ],
     )
     def test_bad_sweep_is_one_input_error_line(self, tmp_path, capsys, content):
@@ -323,6 +344,12 @@ class TestHunt:
     def test_bad_threshold_is_input_error(self):
         argv = ["hunt", "--budget", "1", "--n", "4", "--threshold", "fast"]
         assert main(argv) == 1
+
+    def test_negative_budget_is_one_input_error_line(self, capsys):
+        assert main(["hunt", "--budget", "-1", "--n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["input error: budget must be >= 0, got -1"]
 
 
 @pytest.mark.parametrize(

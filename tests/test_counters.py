@@ -21,7 +21,7 @@ from fosched import (
     lower_bound,
     setcover_greedy,
 )
-from fosched.exact import _Budget, _search
+from fosched.exact import _search
 
 
 def test_first_fit_probes_and_machines():
@@ -47,13 +47,14 @@ SEARCH_NODES = {
 def _deepening_nodes(instances) -> int:
     # optimal's deepening, from the lower bound up to first fit's count, on
     # a budget of the test's own; spent nodes include failed levels
-    budget = _Budget(10**9)
+    nodes = 10**9
     for instance in instances:
         search = _search(instance.p, instance.d)
         for machines in range(lower_bound(instance), first_fit(instance).machine_count):
-            if search(machines, budget) is not None:
+            found, nodes = search(machines, nodes)
+            if found is not None:
                 break
-    return 10**9 - budget.remaining
+    return 10**9 - nodes
 
 
 @pytest.mark.parametrize("family", RANDOM_FAMILIES)

@@ -25,7 +25,7 @@ from fosched import (
     next_fit,
     optimal,
 )
-from fosched.exact import MAX_ORACLE_CAP, _Budget, _search, anchor_counts, clique_rows
+from fosched.exact import MAX_ORACLE_CAP, _search, anchor_counts, clique_rows
 from helpers import (
     DEEP_TAIL,
     NF_HARD_5,
@@ -43,7 +43,8 @@ BUDGET_EXHAUSTING = GenSpec("slack-noninc", n=20, seed=0, p_range=(1, 100), slac
 
 def _search_with(instance: Instance, machine_limit: int, node_budget: int | None = None):
     """One deepening level of the exact search, as a schedule or None."""
-    found = _search(instance.p, instance.d)(machine_limit, _Budget(node_budget))
+    nodes = math.inf if node_budget is None else node_budget
+    found, _ = _search(instance.p, instance.d)(machine_limit, nodes)
     return None if found is None else Schedule(tuple(found))
 
 
@@ -246,7 +247,7 @@ class TestPrunesKeepTheAssignment:
             instance = gen_random(GenSpec(family, n=10, seed=seed, slack_range=slack_range))
             search = _search(instance.p, instance.d)
             for machines in range(0, first_fit(instance).machine_count + 2):
-                pruned = search(machines, _Budget(None))
+                pruned, _ = search(machines, math.inf)
                 assert pruned == search_unpruned(instance.p, instance.d, machines), (seed, machines)
 
 
@@ -266,7 +267,7 @@ def test_clamped_memo_matches_the_unpruned_search_at_every_level(instance):
     search = _search(instance.p, instance.d)
     for machines in range(0, first_fit(instance).machine_count + 2):
         expected = search_unpruned(instance.p, instance.d, machines)
-        assert search(machines, _Budget(None)) == expected, machines
+        assert search(machines, math.inf) == (expected, math.inf), machines
 
 
 class TestDeepeningSoundness:
