@@ -374,7 +374,9 @@ def emit_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
 #      {"family": "tight-2", "k": 3} or {"family": "tight-2", "k_range": [1, 5]},
 #      {"family": "arbitrary", "n": 10, "count": 50, "seed": 7,
 #       "p_range": [1, 9], "slack_range": [0, 12]}]}
-# Random entries expand to `count` instances seeded seed, seed+1, ...
+# Random entries expand to `count` instances seeded seed, seed+1, ...; an
+# n_range or k_range runs lo..hi and may not be inverted. A task's id is its
+# instance's name: nf-hard-n5, tight-2-k3, arbitrary-n10-s7.
 # Entries may override "algorithms". "opt" is dropped automatically for
 # instances larger than the oracle cap. A sweep may generate at most MAX_JOBS
 # jobs in all. Every entry's fields, including the nf-hard and tight-2 limits
@@ -402,8 +404,6 @@ def _count(entry: dict) -> int:
 
 def _sum_at_least(lo: int, hi: int, floor: int) -> int:
     """Sum of max(v, floor) over v = lo..hi, in closed form."""
-    if hi < lo:
-        return 0
     clamped = max(0, min(hi, floor) - lo + 1)
     first = max(lo, floor + 1)
     rest = (first + hi) * (hi - first + 1) // 2 if hi >= first else 0
@@ -418,9 +418,9 @@ def _seeded_specs(template: GenSpec, count: int) -> Iterator[GenSpec]:
 _RANDOM_ENTRY_KEYS = {"family", "algorithms", "n", "count", "seed", "p_range", "slack_range"}
 
 
-def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, GenSpec]]]:
+def _parse_entry(entry: dict) -> tuple[int, Iterator[GenSpec]]:
     """The jobs the entry would generate, from its fields alone, and its
-    (id, spec) pairs, built lazily; the entry's fields are checked first.
+    specs, built lazily; the entry's fields are checked first.
 
     An entry takes only the keys its family reads: nf-hard one of n and
     n_range, tight-2 one of k and k_range. Every instance counts at least
@@ -439,30 +439,31 @@ def _parse_entry(entry: dict) -> tuple[int, Iterator[tuple[str, GenSpec]]]:
             raise InputError(f"{family} entries take one of {key} and {key}_range, not both")
         if f"{key}_range" in entry:
             lo, hi = _int_pair(entry[f"{key}_range"], f"{key}_range")
+            if hi < lo:
+                raise InputError(f"bad {key}_range {(lo, hi)}")
         else:
             lo = hi = _require_int(entry[key], key)
         if family == "nf-hard":
             jobs = _sum_at_least(lo, hi, 1)
         else:
-            jobs = 3 * _sum_at_least(lo, hi, 0) + max(0, hi - lo + 1)  # 3k+1 each
+            jobs = 3 * _sum_at_least(lo, hi, 0) + hi - lo + 1  # 3k+1 each
         # The family's limits on n and k are intervals, so the range's two end
         # specs check all of it. Like GenSpec, size comes first: an entry above
         # the job cap is left to the sweep's cap check.
-        if lo <= hi and jobs <= MAX_JOBS:
+        if jobs <= MAX_JOBS:
             for end in (lo, hi):
                 GenSpec(family, **{key: end})
-        specs = ((f"{family}-{key}{v}", GenSpec(family, **{key: v})) for v in range(lo, hi + 1))
-        return jobs, specs
+        return jobs, (GenSpec(family, **{key: v}) for v in range(lo, hi + 1))
     count = _count(entry)
-    ranges = {name: entry[name] for name in ("p_range", "slack_range") if name in entry}
-    base = GenSpec(family, n=entry["n"], seed=entry.get("seed", 0), **ranges)
-    specs = ((f"{family}-n{s.n}-s{s.seed}", s) for s in _seeded_specs(base, count))
-    return count * max(base.n, 1), specs
+    given = {name: entry[name] for name in ("seed", "p_range", "slack_range") if name in entry}
+    base = GenSpec(family, n=entry["n"], **given)
+    return count * max(base.n, 1), _seeded_specs(base, count)
 
 
 def expand_sweep(doc: dict, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[SweepTask]:
-    """Turn a sweep document into (id, instance, algorithms) tasks; every
-    entry's fields are checked before anything is generated."""
+    """Turn a sweep document into (id, instance, algorithms) tasks, each id
+    the instance's name; every entry's fields are checked before anything
+    is generated."""
     if not isinstance(doc, dict) or not isinstance(doc.get("sweeps"), list):
         raise InputError('sweep file needs a "sweeps" array')
     default_algos = _algorithms(doc["algorithms"]) if "algorithms" in doc else ALGORITHMS
@@ -482,9 +483,9 @@ def expand_sweep(doc: dict, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[Swe
         raise InputError(f"sweep would generate {jobs} jobs, above the cap of {MAX_JOBS}")
     tasks: list[SweepTask] = []
     for _, specs, algos in parsed:
-        for instance_id, spec in specs:
+        for spec in specs:
             instance = generate(spec)
-            tasks.append((instance_id, instance, _within_cap(algos, instance.n, oracle_cap)))
+            tasks.append((instance.name, instance, _within_cap(algos, instance.n, oracle_cap)))
     return tasks
 
 

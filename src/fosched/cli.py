@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from argparse import SUPPRESS
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .bench import (
 from .core import InputError, instance_to_json, load_instance
 from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP
 from .greedy import placement_trace
-from .instances import FAMILIES, GenSpec, generate
+from .instances import FAMILIES, GenSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,11 +61,11 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--family", required=True, choices=FAMILIES)
-    gen.add_argument("--n", type=int, default=0, help="job count (random families, nf-hard)")
-    gen.add_argument("--k", type=int, default=0, help="family parameter (tight-2)")
-    gen.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
-    gen.add_argument("--p-range", type=int, nargs=2, default=(1, 10), metavar=("LO", "HI"))
-    gen.add_argument("--slack-range", type=int, nargs=2, default=(0, 10), metavar=("LO", "HI"))
+    gen.add_argument("--n", type=int, default=SUPPRESS, help="job count (random families, nf-hard)")
+    gen.add_argument("--k", type=int, default=SUPPRESS, help="family parameter (tight-2)")
+    gen.add_argument("--seed", type=int, default=SUPPRESS, help="64-bit unsigned seed")
+    gen.add_argument("--p-range", type=int, nargs=2, default=SUPPRESS, metavar=("LO", "HI"))
+    gen.add_argument("--slack-range", type=int, nargs=2, default=SUPPRESS, metavar=("LO", "HI"))
     gen.add_argument("--out", help="output path (default stdout)")
 
     runp = sub.add_parser("run", help="run solvers on an instance file")
@@ -79,16 +80,15 @@ def _build_parser() -> _Parser:
     bench.add_argument("--out", required=True, help="report path (.csv or .json)")
     bench.add_argument("--assert-bounds", action="store_true")
     bench.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    bench.add_argument("--format", choices=("csv", "json"), help="default: from --out suffix")
     bench.add_argument("--node-budget", type=int)
 
     hunt = sub.add_parser("hunt", help="search random instances for high ff/opt ratios")
     hunt.add_argument("--budget", required=True, type=int, help="number of random instances")
     hunt.add_argument("--n", required=True, type=int, help="jobs per instance")
-    hunt.add_argument("--seed", type=int, default=0)
+    hunt.add_argument("--seed", type=int, default=SUPPRESS)
     hunt.add_argument("--threshold", default="2", help="flag ratios >= this rational, e.g. 11/6")
-    hunt.add_argument("--p-range", type=int, nargs=2, default=(1, 10), metavar=("LO", "HI"))
-    hunt.add_argument("--slack-range", type=int, nargs=2, default=(0, 10), metavar=("LO", "HI"))
+    hunt.add_argument("--p-range", type=int, nargs=2, default=SUPPRESS, metavar=("LO", "HI"))
+    hunt.add_argument("--slack-range", type=int, nargs=2, default=SUPPRESS, metavar=("LO", "HI"))
     hunt.add_argument("--node-budget", type=int)
     return parser
 
@@ -107,16 +107,16 @@ def _oracle_cap() -> int:
     return cap
 
 
+def _gen_fields(args) -> dict:
+    """The generator fields the user gave; GenSpec holds the defaults."""
+    fields = ("family", "n", "k", "seed", "p_range", "slack_range")
+    return {name: value for name, value in vars(args).items() if name in fields}
+
+
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        family=args.family,
-        n=args.n,
-        k=args.k,
-        seed=args.seed,
-        p_range=args.p_range,
-        slack_range=args.slack_range,
-    )
-    text = instance_to_json(generate(spec))
+    # a one-entry sweep, so gen checks its flags as a sweep entry's keys
+    [(_, instance, _)] = expand_sweep({"sweeps": [_gen_fields(args)]})
+    text = instance_to_json(instance)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -167,9 +167,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.out.endswith(".json") else "csv"
+    fmt = "json" if args.out.endswith(".json") else "csv"
     cap = _oracle_cap()
     tasks = expand_sweep(load_sweep(args.sweep), oracle_cap=cap)
     records = run_sweep(
@@ -193,13 +191,7 @@ def _cmd_hunt(args) -> int:
         threshold = Fraction(args.threshold)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"threshold must be a rational, got {args.threshold!r}") from None
-    template = GenSpec(
-        family="arbitrary",
-        n=args.n,
-        seed=args.seed,
-        p_range=args.p_range,
-        slack_range=args.slack_range,
-    )
+    template = GenSpec("arbitrary", **_gen_fields(args))
     result = counterexample_search(
         args.budget,
         template,

@@ -312,6 +312,7 @@ class TestSweeps:
             "arbitrary-n6-s99",
             "arbitrary-n6-s100",
         ]
+        assert all(instance_id == instance.name for instance_id, instance, _ in tasks)
         assert tasks[3][2] == ("ff", "opt")
         assert tasks[4][2] == ("ff", "nf", "opt")
 
@@ -346,6 +347,8 @@ class TestSweeps:
             {"sweeps": [{"family": "nf-hard", "n": 5, "n_range": [3, 4]}]},
             {"sweeps": [{"family": "tight-2", "k": 2, "n": 5}]},
             {"sweeps": [{"family": "tight-2", "k": 2, "k_range": [1, 2]}]},
+            {"sweeps": [{"family": "nf-hard", "n_range": [9, 3]}]},
+            {"sweeps": [{"family": "tight-2", "k_range": [4, 2]}]},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
@@ -424,6 +427,8 @@ class TestSweeps:
             ({"family": "nf-hard", "n": 2}, "family needs n >= 3, got 2"),
             ({"family": "tight-2", "k_range": [0, 3]}, "family needs k >= 1, got 0"),
             ({"family": "tight-2", "k": 0}, "family needs k >= 1, got 0"),
+            ({"family": "nf-hard", "n_range": [9, 3]}, r"bad n_range \(9, 3\)"),
+            ({"family": "tight-2", "k_range": [4, 2]}, r"bad k_range \(4, 2\)"),
         ],
     )
     def test_family_limits_are_checked_before_generating(self, monkeypatch, last, message):
@@ -464,9 +469,8 @@ class TestSweeps:
         monkeypatch.setattr(bench_module, "gen_random", refuse)
         for entry in ({"family": "tight-2", "k_range": [1, 3]}, {"family": "unit", "n": 4, "count": 2}):
             _, specs = bench_module._parse_entry(entry)
-            instance_id, spec = next(specs)
+            spec = next(specs)
             assert isinstance(spec, GenSpec) and spec.family == entry["family"]
-            assert instance_id in ("tight-2-k1", "unit-n4-s0")
 
     def test_closed_form_range_sum(self):
         for lo in range(-5, 9):

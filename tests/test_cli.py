@@ -46,7 +46,32 @@ class TestGen:
         assert main(["gen", "--family", "cursed", "--n", "3"]) == 1
 
     def test_missing_parameter_is_input_error(self):
-        assert main(["gen", "--family", "tight-2"]) == 1  # k defaults to 0
+        assert main(["gen", "--family", "tight-2"]) == 1  # no --k: the entry misses 'k'
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(
+                ["--family", "tight-2", "--k", "1", "--n", "50", "--seed", "3", "--p-range", "5", "9"],
+                "input error: tight-2 entries take no ['n', 'p_range', 'seed']",
+                id="tight-2-unread",
+            ),
+            pytest.param(
+                ["--family", "nf-hard", "--n", "3", "--k", "7"],
+                "input error: nf-hard entries take no ['k']",
+                id="nf-hard-unread",
+            ),
+            pytest.param(
+                ["--family", "arbitrary"], "input error: sweep entry missing key 'n'", id="no-n"
+            ),
+        ],
+    )
+    def test_unread_or_missing_flag_is_one_input_error_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "i.json"
+        assert main(["gen", *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [message]
+        assert not out.exists()
 
 
 class TestRun:
@@ -218,6 +243,14 @@ def _strip_ms(report_text: str) -> str:
 
 
 class TestBench:
+    def test_format_flag_is_a_usage_error(self, tmp_path, capsys):
+        sweep, out = tmp_path / "sweep.json", tmp_path / "report.csv"
+        sweep.write_text(json.dumps({"sweeps": [{"family": "nf-hard", "n": 4}]}))
+        assert main(["bench", "--sweep", str(sweep), "--out", str(out), "--format", "json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not out.exists()
+
     def test_sweep_to_csv_with_bounds(self, tmp_path):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(SWEEP))
@@ -340,6 +373,16 @@ class TestHunt:
     def test_fractional_threshold_parses(self):
         argv = ["hunt", "--budget", "1", "--n", "4", "--seed", "0", "--threshold", "11/6"]
         assert main(argv) in (0, 2)
+
+    def test_omitted_generator_fields_take_the_genspec_defaults(self, capsys):
+        def summary(extra):
+            assert main(["hunt", "--budget", "4", "--n", "6", *extra]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc["best"] = {k: v for k, v in doc["best"].items() if not k.startswith("ms_")}
+            return doc
+
+        explicit = ["--seed", "0", "--p-range", "1", "10", "--slack-range", "0", "10"]
+        assert summary([]) == summary(explicit)
 
     def test_bad_threshold_is_input_error(self):
         argv = ["hunt", "--budget", "1", "--n", "4", "--threshold", "fast"]
