@@ -50,8 +50,7 @@ class SolveReport:
     machine_count: int | None
     schedule: Schedule | None
     ms: float
-    error: str | None = None
-    error_kind: str | None = None  # "capacity" or "budget" when error is set
+    error: CapacityError | SearchBudgetError | None = None
 
 
 _SOLVERS: dict[str, Callable] = {
@@ -72,8 +71,8 @@ def run(
     """Run the named solvers; one report per algorithm in canonical order.
 
     Every emitted schedule is re-checked for feasibility. Capacity or budget
-    failures of the exact solver land in that algorithm's report instead of
-    aborting the others.
+    failures of the exact solver land, as the exception raised, in that
+    algorithm's report instead of aborting the others.
     """
     requested = set(algorithms)
     unknown = requested - set(ALGORITHMS)
@@ -88,8 +87,7 @@ def run(
             schedule = _SOLVERS[name](instance, oracle_cap, node_budget)
         except (CapacityError, SearchBudgetError) as exc:
             ms = round((time.perf_counter() - start) * 1000, 3)
-            kind = "capacity" if isinstance(exc, CapacityError) else "budget"
-            reports.append(SolveReport(name, None, None, ms, str(exc), kind))
+            reports.append(SolveReport(name, None, None, ms, exc))
             continue
         ms = round((time.perf_counter() - start) * 1000, 3)
         if not is_feasible(instance, schedule):
@@ -402,14 +400,6 @@ def _count(entry: dict) -> int:
     return count
 
 
-def _sum_at_least(lo: int, hi: int, floor: int) -> int:
-    """Sum of max(v, floor) over v = lo..hi, in closed form."""
-    clamped = max(0, min(hi, floor) - lo + 1)
-    first = max(lo, floor + 1)
-    rest = (first + hi) * (hi - first + 1) // 2 if hi >= first else 0
-    return clamped * floor + rest
-
-
 def _seeded_specs(template: GenSpec, count: int) -> Iterator[GenSpec]:
     """``count`` copies of ``template`` seeded seed, seed+1, ... (mod 2**64), lazily."""
     return (replace(template, seed=(template.seed + i) % 2**64) for i in range(count))
@@ -443,16 +433,14 @@ def _parse_entry(entry: dict) -> tuple[int, Iterator[GenSpec]]:
                 raise InputError(f"bad {key}_range {(lo, hi)}")
         else:
             lo = hi = _require_int(entry[key], key)
-        if family == "nf-hard":
-            jobs = _sum_at_least(lo, hi, 1)
-        else:
-            jobs = 3 * _sum_at_least(lo, hi, 0) + hi - lo + 1  # 3k+1 each
         # The family's limits on n and k are intervals, so the range's two end
-        # specs check all of it. Like GenSpec, size comes first: an entry above
-        # the job cap is left to the sweep's cap check.
-        if jobs <= MAX_JOBS:
-            for end in (lo, hi):
-                GenSpec(family, **{key: end})
+        # specs check all of it.
+        for end in (lo, hi):
+            GenSpec(family, **{key: end})
+        values = hi - lo + 1
+        jobs = (lo + hi) * values // 2  # the sum of n, or of k
+        if family == "tight-2":
+            jobs = 3 * jobs + values  # 3k+1 each
         return jobs, (GenSpec(family, **{key: v}) for v in range(lo, hi + 1))
     count = _count(entry)
     given = {name: entry[name] for name in ("seed", "p_range", "slack_range") if name in entry}

@@ -33,7 +33,7 @@ from .bench import (
     REPORT_COLUMNS,
 )
 from .core import InputError, instance_to_json, load_instance
-from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP
+from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, SearchBudgetError
 from .greedy import placement_trace
 from .instances import FAMILIES, GenSpec
 
@@ -136,7 +136,7 @@ def _cmd_run(args) -> int:
             "machines": rep.machine_count,
             "ms": rep.ms,
             "assignment": list(rep.schedule.assignment) if rep.schedule else None,
-            "error": rep.error,
+            "error": None if rep.error is None else str(rep.error),
         }
         if args.trace and rep.algorithm in ("ff", "nf") and not rep.error:
             trace = placement_trace(instance, rep.schedule, rep.algorithm)  # no second solve
@@ -160,9 +160,9 @@ def _cmd_run(args) -> int:
                         f"machine={step['machine']} load={step['load_after']}\n"
                     )
     for rep in reports:
-        if rep.error_kind:
+        if rep.error is not None:
             sys.stderr.write(f"error: {rep.error}\n")
-            return EXIT_BUDGET if rep.error_kind == "budget" else EXIT_INPUT
+            return EXIT_BUDGET if isinstance(rep.error, SearchBudgetError) else EXIT_INPUT
     return EXIT_OK
 
 
@@ -187,6 +187,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    if "e" in args.threshold.lower():  # Fraction("1e10000000") builds 10**10000000
+        raise InputError(f"threshold takes no exponent, got {args.threshold!r}")
     try:
         threshold = Fraction(args.threshold)
     except (ValueError, ZeroDivisionError):

@@ -96,11 +96,8 @@ NF_HARD_MAX_N = 89
 
 
 def _require_family_limits(family: str, n: int = 0, k: int = 0) -> None:
-    """Reject a family instance above MAX_JOBS jobs (tight-2 holds 3k+1),
-    then an n or k that nf-hard or tight-2 cannot build."""
-    jobs = 3 * k + 1 if family == "tight-2" else n
-    if jobs > MAX_JOBS:
-        raise InputError(f"{family} instance would hold {jobs} jobs, above the cap of {MAX_JOBS}")
+    """Reject an n or k that nf-hard or tight-2 cannot build, then a family
+    instance above MAX_JOBS jobs (tight-2 holds 3k+1)."""
     if family == "nf-hard":
         if n < 3:
             raise InputError(f"family needs n >= 3, got {n}")
@@ -108,6 +105,9 @@ def _require_family_limits(family: str, n: int = 0, k: int = 0) -> None:
             raise InputError(f"n={n} pushes total work past the 64-bit cap")
     elif family == "tight-2" and k < 1:
         raise InputError(f"family needs k >= 1, got {k}")
+    jobs = 3 * k + 1 if family == "tight-2" else n
+    if jobs > MAX_JOBS:
+        raise InputError(f"{family} instance would hold {jobs} jobs, above the cap of {MAX_JOBS}")
 
 
 def gen_nf_hard(n: int) -> Instance:
@@ -156,10 +156,10 @@ class GenSpec:
 
     ``n`` sizes the random families and nf-hard (3 <= n <= 89); ``k``
     parameterizes tight-2 (k >= 1), which has 3k+1 jobs. No spec may ask
-    for more than MAX_JOBS jobs. Processing times are drawn uniformly from
-    ``p_range`` and deadlines are p plus a uniform draw from
-    ``slack_range``; both ranges must be pairs of integers and are stored
-    as tuples.
+    for more than MAX_JOBS jobs; the family limits are checked first.
+    Processing times are drawn uniformly from ``p_range`` and deadlines are
+    p plus a uniform draw from ``slack_range``; both ranges must be pairs of
+    integers and are stored as tuples.
     """
 
     family: str

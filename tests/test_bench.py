@@ -19,12 +19,14 @@ from fosched import (
     DEFAULT_ORACLE_CAP,
     MAX_JOBS,
     BenchRecord,
+    CapacityError,
     GenSpec,
     HuntResult,
     InputError,
     Instance,
     OrderClass,
     Schedule,
+    SearchBudgetError,
     assert_bounds,
     counterexample_search,
     emit_report,
@@ -71,11 +73,13 @@ class TestRun:
         reports = run(LOOSE_21, ("ff", "opt"))
         assert reports[0].machine_count == 1
         assert reports[1].machine_count is None
-        assert reports[1].error_kind == "capacity"
+        assert isinstance(reports[1].error, CapacityError)
 
     def test_budget_failure_lands_in_the_report(self):
         reports = run(gen_tight2(2), ("opt",), node_budget=1)
-        assert reports[0].error_kind == "budget"
+        error = reports[0].error
+        assert isinstance(error, SearchBudgetError)
+        assert (error.upper_bound, error.lower_bound) == (5, 3)
 
     def test_infeasible_schedule_is_a_runtime_error(self, monkeypatch):
         monkeypatch.setattr(bench_module, "next_fit", lambda inst: Schedule((1,) * inst.n))
@@ -375,10 +379,10 @@ class TestSweeps:
             [{"family": "unit", "n": MAX_JOBS + 1}],
             [{"family": "arbitrary", "n": 0, "count": 10**7}],  # empty instances count one job each
             [{"family": "tight-2", "k_range": [1, 10**9]}],
-            [{"family": "tight-2", "k_range": [-(10**9), 1]}],
+            [{"family": "tight-2", "k_range": [1, 1000]}],  # each instance fits, the range does not
             [{"family": "tight-2", "k": 10**9}],
-            [{"family": "nf-hard", "n_range": [3, 10**6]}],
-            [{"family": "nf-hard", "n": 10**12}],
+            [{"family": "nf-hard", "n_range": [3, 89]}] * 250,  # 250 x 4002 jobs
+            [{"family": "tight-2", "k": 333_333}, {"family": "unit", "n": 1}],  # one past the cap
             [{"family": "slack-noninc", "n": 500_000, "count": 2}, {"family": "nf-hard", "n": 3}],
         ],
     )
@@ -429,6 +433,9 @@ class TestSweeps:
             ({"family": "tight-2", "k": 0}, "family needs k >= 1, got 0"),
             ({"family": "nf-hard", "n_range": [9, 3]}, r"bad n_range \(9, 3\)"),
             ({"family": "tight-2", "k_range": [4, 2]}, r"bad k_range \(4, 2\)"),
+            ({"family": "tight-2", "k_range": [-(10**9), 1]}, "family needs k >= 1, got -1000000000"),
+            ({"family": "nf-hard", "n_range": [3, 10**6]}, "n=1000000 pushes total work past the 64-bit cap"),
+            ({"family": "nf-hard", "n": 10**12}, "n=1000000000000 pushes total work past the 64-bit cap"),
         ],
     )
     def test_family_limits_are_checked_before_generating(self, monkeypatch, last, message):
@@ -455,6 +462,9 @@ class TestSweeps:
             {"family": "tight-2", "k": 4},
             {"family": "arbitrary", "n": 5, "count": 3},
             {"family": "unit", "n": 0, "count": 2},
+            {"family": "nf-hard", "n_range": [3, 89]},
+            {"family": "tight-2", "k_range": [1, 1]},
+            {"family": "tight-2", "k_range": [5, 9]},
         ],
     )
     def test_job_count_matches_the_generated_sweep(self, entry):
@@ -471,13 +481,6 @@ class TestSweeps:
             _, specs = bench_module._parse_entry(entry)
             spec = next(specs)
             assert isinstance(spec, GenSpec) and spec.family == entry["family"]
-
-    def test_closed_form_range_sum(self):
-        for lo in range(-5, 9):
-            for hi in range(-6, 10):
-                for floor in (0, 1):
-                    expected = sum(max(v, floor) for v in range(lo, hi + 1))
-                    assert bench_module._sum_at_least(lo, hi, floor) == expected
 
     def test_run_sweep_matches_serial_and_parallel(self):
         tasks = expand_sweep(SWEEP_DOC)

@@ -385,8 +385,10 @@ class TestHunt:
         assert summary([]) == summary(explicit)
 
     def test_bad_threshold_is_input_error(self):
-        argv = ["hunt", "--budget", "1", "--n", "4", "--threshold", "fast"]
-        assert main(argv) == 1
+        # an exponent is refused before Fraction would build the power of ten
+        for threshold in ("fast", "1e100", "1E5"):
+            argv = ["hunt", "--budget", "1", "--n", "4", "--threshold", threshold]
+            assert main(argv) == 1
 
     def test_negative_budget_is_one_input_error_line(self, capsys):
         assert main(["hunt", "--budget", "-1", "--n", "4"]) == 1

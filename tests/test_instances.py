@@ -147,7 +147,6 @@ class TestGenSpec:
         [
             ("arbitrary", 10**12, 0),
             ("unit", MAX_JOBS + 1, 0),
-            ("nf-hard", MAX_JOBS + 1, 0),
             ("tight-2", 0, 10**9),
             ("tight-2", 0, (MAX_JOBS - 1) // 3 + 1),  # the smallest k past the cap
         ],
@@ -162,6 +161,7 @@ class TestGenSpec:
             ("nf-hard", 2, 0, "family needs n >= 3, got 2"),
             ("nf-hard", 90, 0, "n=90 pushes total work past the 64-bit cap"),
             ("tight-2", 0, 0, "family needs k >= 1, got 0"),
+            ("nf-hard", MAX_JOBS + 1, 0, "n=1000001 pushes total work past the 64-bit cap"),
         ],
     )
     def test_checks_the_family_limits(self, family, n, k, message):
