@@ -2,14 +2,16 @@
 
 ``optimal`` runs an iterative-deepening depth-first search: it tries machine
 budgets upward from a provable lower bound until a feasible assignment
-exists, so the first success is optimal. The root bound is the larger of a
-threshold-volume bound and a conflict clique (``lower_bound``). A search node
-is the machines' sorted loads alone, pruned by two per-instance tables: the
-fewest machines whose last jobs' deadlines cover the remaining work
-(``anchor_counts``) and the conflict clique of the jobs no open machine can
-take (``clique_rows``). Closed machines, which no remaining job fits on,
-enter the memo key by their number alone; labels are read off the winning
-path once. n is capped at 20 by default (``limit``, up to MAX_ORACLE_CAP).
+exists, so the first success is optimal. The root bound is the largest of a
+threshold-volume bound, a conflict clique and the anchor bound
+(``lower_bound``). A search node is the machines' sorted loads alone, pruned
+by two per-instance tables: the fewest machines whose last jobs' deadlines
+cover the remaining work (``anchor_counts``) and the conflict clique of the
+jobs no open machine can take (``clique_rows``). Closed machines, which no
+remaining job fits on, enter the memo key by their number alone; labels are
+read off the winning path once. Each level's memo is freed when the level
+ends, also when the node budget runs out in it. n is capped at 20 by default
+(``limit``, up to MAX_ORACLE_CAP).
 """
 
 from __future__ import annotations
@@ -109,10 +111,13 @@ def anchor_counts(p: Sequence[int], d: Sequence[int]) -> list[int]:
 def lower_bound(instance: Instance) -> int:
     """A machine count no feasible schedule can beat.
 
-    The larger of two bounds. Threshold volume: the jobs with deadline at
+    The largest of three bounds. Threshold volume: the jobs with deadline at
     most t all run within [0, t] on their machines, so m >= W_t / t for
     every deadline t, with W_t their total work. Conflict clique: jobs that
     pairwise cannot share a machine need one each (``clique_rows``' last row).
+    Anchors: every machine's work fits before its last job's deadline, so
+    the last jobs' deadlines cover every suffix's work (``anchor_counts``
+    at job 0).
     """
     if instance.n == 0:
         return 0
@@ -123,7 +128,7 @@ def lower_bound(instance: Instance) -> int:
         volume = max(volume, -(-work // deadline))
     slack = [dj - pj for pj, dj in zip(p, d)]
     *_, row = clique_rows(p, slack, sorted(set(slack)))
-    return max(volume, row[-1])
+    return max(volume, row[-1], anchor_counts(p, d)[0])
 
 
 def _search(
@@ -175,14 +180,6 @@ def _search(
         loads: list[int] = []  # ascending
         chosen: list[int] = []  # the load each job went on, 0 when fresh; last job first
 
-        def doomed(j: int, live: tuple[int, ...]) -> bool:
-            spare = machine_limit - len(loads)
-            if anchors[j] > spare + len(live):
-                return True
-            # jobs below the least open load; every remaining job when none is open
-            rank = bisect_left(slack_values, live[0]) if live else len(slack_values)
-            return cliques[j][rank] > spare
-
         def dfs(j: int) -> bool:
             nonlocal nodes
             nodes -= 1
@@ -194,7 +191,12 @@ def _search(
             key = (j, len(loads) - len(live), live)
             if key in failed:
                 return False
-            if doomed(j, live):
+            spare = machine_limit - len(loads)
+            # the anchor prune, then the clique of the jobs below the least
+            # open load (every remaining job when none is open)
+            if anchors[j] > spare + len(live) or cliques[j][
+                bisect_left(slack_values, live[0]) if live else len(slack_values)
+            ] > spare:
                 failed.add(key)
                 return False
             pj = p[j]
@@ -223,7 +225,13 @@ def _search(
             failed.add(key)
             return False
 
-        if not dfs(0):
+        try:
+            solved = dfs(0)
+        finally:
+            # dfs holds itself through this cell; emptying it frees the memo
+            # as the level ends, by reference counting, also on a budget error
+            del dfs
+        if not solved:
             return None, nodes
         # The lowest label holding the chosen load is the machine the search
         # meant. Only unopened machines hold 0 (p >= 1), so they open in order.

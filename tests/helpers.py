@@ -333,6 +333,21 @@ def anchors_exhaustive(p, d, start: int = 0) -> int:
     raise AssertionError("every job as an anchor covers every suffix")
 
 
+def volume_clique_bound(instance: Instance) -> int:
+    """``exact.lower_bound`` before it took the anchor bound.
+
+    The larger of the threshold volume, max over deadlines t of the work due
+    by t over t, and the largest conflict clique, here from the
+    ``suffix_cliques`` oracle rather than ``exact.clique_rows``.
+    """
+    volume = work = 0
+    for deadline, length in sorted(zip(instance.d, instance.p)):
+        work += length
+        volume = max(volume, -(-work // deadline))
+    slack = [dj - pj for pj, dj in zip(instance.p, instance.d)]
+    return max(volume, suffix_cliques(instance.p, slack)[0])
+
+
 def suffix_cliques(p, slack, below: float = math.inf) -> list[int]:
     """For every j, the most jobs k >= j with slack_k < below that pairwise conflict.
 

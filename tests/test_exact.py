@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import combinations
@@ -35,6 +36,7 @@ from helpers import (
     optimal_unpruned,
     search_unpruned,
     suffix_cliques,
+    volume_clique_bound,
 )
 
 # Exhausts a 20,000-node budget even with every prune: opt is 9, ff is 10.
@@ -131,6 +133,15 @@ def test_lower_bound_never_exceeds_optimum(instance):
 @settings(max_examples=80)
 def test_lower_bound_never_exceeds_enumeration(instance):
     assert lower_bound(instance) <= optimal_count_bruteforce(instance)
+
+
+@given(instances_st(max_n=10, max_slack=20))
+@settings(max_examples=100)
+def test_lower_bound_is_the_largest_of_volume_clique_and_anchors(instance):
+    p, d = instance.p, instance.d
+    bound = lower_bound(instance)
+    assert bound == max(volume_clique_bound(instance), anchors_exhaustive(p, d))
+    assert bound <= optimal(instance).machine_count
 
 
 @given(instances_st(max_n=12, max_p=12, max_slack=20))
@@ -270,6 +281,22 @@ def test_clamped_memo_matches_the_unpruned_search_at_every_level(instance):
         assert search(machines, math.inf) == (expected, math.inf), machines
 
 
+def test_solves_leave_no_cyclic_garbage():
+    # each level's memo is freed when the level ends, also when the budget
+    # runs out in it, not left for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        for family in ("arbitrary", "slack-noninc"):
+            for seed in range(10):
+                optimal(gen_random(GenSpec(family, n=14, seed=seed)))
+        with pytest.raises(SearchBudgetError):
+            optimal(gen_tight2(4), node_budget=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestDeepeningSoundness:
     def test_one_machine_below_optimum_is_infeasible(self):
         for inst in (NF_HARD_5, gen_tight2(2), Instance.from_pairs([(1, 1)] * 3)):
@@ -319,14 +346,14 @@ class TestCapsAndBudgets:
         with pytest.raises(SearchBudgetError) as exc:
             optimal(gen_tight2(2), node_budget=1)
         assert (exc.value.lower_bound, exc.value.upper_bound) == (3, 5)
-        # root bound 3, first fit 5: level 3 fails in 1 node and level 4
-        # solves in 12, so a budget of 6 proves level 3 infeasible and runs
-        # out on the feasible level 4
-        instance = gen_random(GenSpec("slack-noninc", n=10, seed=1))
-        assert lower_bound(instance) == 3 and optimal(instance).machine_count == 4
+        # root bound 4, first fit 6: level 4 fails in 15 nodes and level 5
+        # solves in 12, so a budget of 20 proves level 4 infeasible and runs
+        # out on the feasible level 5
+        instance = gen_random(GenSpec("slack-nondec", n=10, seed=11))
+        assert lower_bound(instance) == 4 and optimal(instance).machine_count == 5
         with pytest.raises(SearchBudgetError, match="^search node budget exhausted$") as exc:
-            optimal(instance, node_budget=6)
-        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
+            optimal(instance, node_budget=20)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (5, 6)
 
     def test_generous_budget_succeeds(self):
         assert optimal(gen_tight2(2), node_budget=10**6).machine_count == 3
