@@ -7,19 +7,24 @@ threshold-volume bound, a conflict clique and the anchor bound
 (``lower_bound``). A search node is the machines' sorted loads alone, pruned
 by two per-instance tables: the fewest machines whose last jobs' deadlines
 cover the remaining work (``anchor_counts``) and the conflict clique of the
-jobs no open machine can take (``clique_rows``). Closed machines, which no
-remaining job fits on, enter the memo key by their number alone; labels are
-read off the winning path once. Each level's memo is freed when the level
-ends, also when the node budget runs out in it. n is capped at 20 by default
-(``limit``, up to MAX_ORACLE_CAP).
+jobs no open machine can take (``clique_rows``). A state that branches and
+fails is memoized, its closed machines, which no remaining job fits on,
+counted by their number alone. A state also fails when one of the last
+``_WINDOW`` failures with the same job, machine count and live count has
+loads at most its own in every position (Korf's bin-completion dominance).
+Labels are read off the winning path once. Each level's memo is freed when
+the level ends, also when the node budget runs out in it. n is capped at 20
+by default (``limit``, up to MAX_ORACLE_CAP).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from heapq import heappush, heappushpop
 from itertools import accumulate
+from operator import le
 from typing import Callable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule
@@ -29,6 +34,10 @@ DEFAULT_ORACLE_CAP = 20
 # _search recurses once per job; this keeps it well below Python's default
 # recursion limit of 1000 frames.
 MAX_ORACLE_CAP = 500
+# How many of its bucket's latest failures a search node compares its loads
+# against. A bucket can hold thousands of failures, and scanning them all
+# costs more than the nodes it saves; 8 was sized by measurement.
+_WINDOW = 8
 
 
 class CapacityError(InputError):
@@ -153,20 +162,34 @@ def _search(
     order, then a fresh machine. Only the winning path records the load it
     chose per job; the labels are read off those.
 
-    States that failed once are memoized by (next job, closed machines, open
-    loads): a closed machine's future does not depend on its load, so its
-    load leaves the key. Two sound prunes fail a state, into the memo,
-    before it branches:
+    A node first runs two sound prunes, from the loads and the live count
+    (the open machines below ``dead[j]``) alone:
     - anchor: every machine that takes one of jobs j..n-1 ends with one of
-      them, and a closed machine takes none, so the open machines and the
+      them, and a closed machine takes none, so the live machines and the
       unopened ones must number at least ``anchors[j]``;
     - conflict clique: loads only grow, so a remaining job whose slack is
-      below the least open load (every remaining job, when none is open)
+      below the least live load (every remaining job, when none is live)
       must go on a machine not yet open, and a clique of such jobs needs one
-      machine each: ``cliques[j]`` at the least open load's rank.
-    The memo and both prunes only cut subtrees without a feasible leaf, so
-    the first feasible leaf, and the assignment returned, is the one the
-    plain search finds.
+      machine each: ``cliques[j]`` at the least live load's rank.
+    A pruned state is not memoized: it costs no more to prune again.
+
+    A state that branched and failed is memoized by (next job, machines
+    opened, live loads): a closed machine's future does not depend on its
+    load, so its load leaves the key. Its live loads also join its bucket,
+    (next job, machines opened, live count), which fixes the spare and the
+    closed machines and keeps only its last ``_WINDOW`` failures. A state
+    fails, into the memo, when its key is memoized or when a failure in its
+    bucket is at most its live loads in every position (a lexicographic
+    comparison filters first): lower loads admit every job that higher ones
+    do, so any plan from the state would work from the failure. A pruned
+    state needs no bucket, since a state it dominates fails the same two
+    tests (the same spare and live count, a least live load no lower). The
+    window bounds the comparisons per node, so a node budget still bounds
+    the CPU.
+
+    The memo, the window and both prunes only cut subtrees without a
+    feasible leaf, so the first feasible leaf, and the assignment returned,
+    is the one the plain search finds.
     """
     n = len(p)
     slack = [dj - pj for pj, dj in zip(p, d)]
@@ -177,6 +200,8 @@ def _search(
 
     def level(machine_limit: int, nodes: float) -> tuple[list[int] | None, float]:
         failed: set[tuple[int, int, tuple[int, ...]]] = set()
+        # per bucket, the live loads of its last _WINDOW branching failures
+        failures: dict[tuple[int, int, int], deque[tuple[int, ...]]] = {}
         loads: list[int] = []  # ascending
         chosen: list[int] = []  # the load each job went on, 0 when fresh; last job first
 
@@ -187,18 +212,26 @@ def _search(
                 raise SearchBudgetError("search node budget exhausted")
             if j == n:
                 return True
-            live = tuple(loads[: bisect_left(loads, dead[j])])
-            key = (j, len(loads) - len(live), live)
+            opened = len(loads)
+            spare = machine_limit - opened
+            live_count = bisect_left(loads, dead[j])
+            # the anchor prune, then the clique of the jobs below the least
+            # live load (every remaining job when none is live)
+            if anchors[j] > spare + live_count or cliques[j][
+                bisect_left(slack_values, loads[0]) if live_count else len(slack_values)
+            ] > spare:
+                return False
+            live = tuple(loads[:live_count])
+            key = (j, opened, live)
             if key in failed:
                 return False
-            spare = machine_limit - len(loads)
-            # the anchor prune, then the clique of the jobs below the least
-            # open load (every remaining job when none is open)
-            if anchors[j] > spare + len(live) or cliques[j][
-                bisect_left(slack_values, live[0]) if live else len(slack_values)
-            ] > spare:
-                failed.add(key)
-                return False
+            bucket = (j, opened, live_count)
+            recent = failures.get(bucket)
+            if recent is not None:
+                for low in recent:
+                    if low <= live and all(map(le, low, live)):
+                        failed.add(key)
+                        return False
             pj = p[j]
             last_load = -1
             for i in range(bisect_right(loads, slack[j])):
@@ -215,7 +248,7 @@ def _search(
                     return True
                 del loads[k]
                 loads.insert(i, load)
-            if len(loads) < machine_limit:
+            if spare:
                 k = bisect_left(loads, pj)
                 loads.insert(k, pj)
                 if dfs(j + 1):
@@ -223,6 +256,9 @@ def _search(
                     return True
                 del loads[k]
             failed.add(key)
+            if recent is None:
+                failures[bucket] = recent = deque(maxlen=_WINDOW)
+            recent.append(live)
             return False
 
         try:

@@ -25,7 +25,7 @@ from fosched import (
 NF_HARD_5 = Instance.from_pairs([(1, 1), (2, 2), (3, 4), (5, 7), (8, 12)])
 # Its two-machine schedule: odd positions on machine 1, even on machine 2.
 NF_HARD_5_OPT = Schedule((1, 2, 1, 2, 1))
-# Alone, needs 275,496 search nodes to prove 8 machines too few: opt = ff = 9.
+# Alone, needs 93,699 search nodes to prove 8 machines too few: opt = ff = 9.
 DEEP_TAIL = GenSpec("slack-noninc", n=20, seed=59, p_range=(1, 20), slack_range=(0, 40))
 
 

@@ -320,15 +320,15 @@ class TestBench:
         assert err[-1] == "checked bounds on 1 records, 1 without opt"
 
     def test_budget_exhausting_instance_leaves_opt_empty(self, tmp_path, capsys):
-        entry = {"family": "slack-noninc", "n": 20, "count": 1, "seed": 0,
-                 "p_range": [1, 100], "slack_range": [0, 100]}
+        entry = {"family": DEEP_TAIL.family, "n": DEEP_TAIL.n, "count": 1, "seed": DEEP_TAIL.seed,
+                 "p_range": list(DEEP_TAIL.p_range), "slack_range": list(DEEP_TAIL.slack_range)}
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"sweeps": [entry]}))
         out = tmp_path / "r.csv"
         argv = ["bench", "--sweep", str(sweep), "--out", str(out), "--node-budget", "20000"]
         assert main(argv) == 0
         [row] = csv.DictReader(out.read_text().splitlines())
-        assert row["opt"] == "" and row["ff"] == "10"
+        assert row["opt"] == "" and row["ff"] == "9"
 
     def test_malformed_sweep_is_input_error(self, tmp_path):
         sweep = tmp_path / "sweep.json"

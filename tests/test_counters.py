@@ -22,6 +22,7 @@ from fosched import (
     setcover_greedy,
 )
 from fosched.exact import _search
+from helpers import DEEP_TAIL
 
 
 def test_first_fit_probes_and_machines():
@@ -37,10 +38,10 @@ def test_first_fit_probes_and_machines():
 
 SEARCH_NODES = {
     "unit": 219,
-    "slack-noninc": 326,
-    "slack-nondec": 458,
-    "deadline-noninc": 316,
-    "arbitrary": 1_250,
+    "slack-noninc": 324,
+    "slack-nondec": 429,
+    "deadline-noninc": 203,
+    "arbitrary": 1_043,
 }
 
 
@@ -70,7 +71,7 @@ def test_search_nodes_on_a_paper_sweep_shaped_corpus():
         for family in RANDOM_FAMILIES
         for seed in range(20)
     ]
-    assert _deepening_nodes(instances) == 5_027
+    assert _deepening_nodes(instances) == 3_738
 
 
 def test_search_nodes_on_small_nonincreasing_slacks():
@@ -79,7 +80,12 @@ def test_search_nodes_on_small_nonincreasing_slacks():
         gen_random(GenSpec("slack-noninc", n=20, seed=seed, slack_range=(0, 20)))
         for seed in range(40)
     ]
-    assert _deepening_nodes(instances) == 196_584
+    assert _deepening_nodes(instances) == 57_693
+
+
+def test_search_nodes_on_the_deep_tail():
+    # the budget fixtures' margin: a 20,000-node budget runs out on it
+    assert _deepening_nodes([gen_random(DEEP_TAIL)]) == 93_699
 
 
 def test_cover_machines_and_jobs_per_round():

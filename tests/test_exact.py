@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -38,9 +39,6 @@ from helpers import (
     suffix_cliques,
     volume_clique_bound,
 )
-
-# Exhausts a 20,000-node budget even with every prune: opt is 9, ff is 10.
-BUDGET_EXHAUSTING = GenSpec("slack-noninc", n=20, seed=0, p_range=(1, 100), slack_range=(0, 100))
 
 
 def _search_with(instance: Instance, machine_limit: int, node_budget: int | None = None):
@@ -261,6 +259,34 @@ class TestPrunesKeepTheAssignment:
                 pruned, _ = search(machines, math.inf)
                 assert pruned == search_unpruned(instance.p, instance.d, machines), (seed, machines)
 
+    def test_every_level_matches_the_unpruned_search_where_the_window_cuts(self, monkeypatch):
+        # small non-increasing slacks close machines early and fill the
+        # dominance buckets, so the window fails states the memo misses
+        instances = [
+            gen_random(GenSpec("slack-noninc", n=14, seed=seed, slack_range=(0, 20)))
+            for seed in range(10)
+        ]
+
+        def every_level(window):
+            monkeypatch.setattr(exact_module, "_WINDOW", window)
+            spent, found = 0, []
+            for instance in instances:
+                search = _search(instance.p, instance.d)
+                for machines in range(0, first_fit(instance).machine_count + 2):
+                    assignment, left = search(machines, 10**9)
+                    spent += 10**9 - left
+                    found.append(assignment)
+            return spent, found
+
+        spent, found = every_level(exact_module._WINDOW)
+        spent_without, _ = every_level(0)
+        assert spent < spent_without
+        assert found == [
+            search_unpruned(instance.p, instance.d, machines)
+            for instance in instances
+            for machines in range(0, first_fit(instance).machine_count + 2)
+        ]
+
 
 @st.composite
 def closing_instances_st(draw):
@@ -295,6 +321,25 @@ def test_solves_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_no_node_reads_more_than_the_window_of_failures(monkeypatch):
+    # a counting stand-in for each bucket's failures: a node scans its
+    # bucket at most once, so the most failures one scan reads bounds the
+    # comparisons per node, and a node budget still bounds the CPU
+    reads = []
+
+    class CountingDeque(deque):
+        def __iter__(self):
+            reads.append(0)
+            for low in super().__iter__():
+                reads[-1] += 1
+                yield low
+
+    monkeypatch.setattr(exact_module, "deque", CountingDeque)
+    with pytest.raises(SearchBudgetError):
+        optimal(gen_random(DEEP_TAIL), node_budget=20_000)
+    assert max(reads) == exact_module._WINDOW
 
 
 class TestDeepeningSoundness:
@@ -369,10 +414,12 @@ class TestCapsAndBudgets:
             optimal(instance, node_budget=-1)
 
     def test_pruned_search_still_exhausts_the_budget(self):
+        # opt = ff = 9 and the root bound is 8, so the budget runs out
+        # proving level 8 infeasible
         with pytest.raises(SearchBudgetError) as exc:
-            optimal(gen_random(BUDGET_EXHAUSTING), node_budget=20_000)
-        assert exc.value.upper_bound == 10
-        assert exc.value.lower_bound == 8  # levels 6 and 7 proven infeasible
+            optimal(gen_random(DEEP_TAIL), node_budget=20_000)
+        assert exc.value.upper_bound == 9
+        assert exc.value.lower_bound == 8
 
     def test_limit_above_the_maximum_is_input_error(self, monkeypatch):
         def refuse(*args):
