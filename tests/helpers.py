@@ -125,8 +125,10 @@ def max_subset_exhaustive(p, d) -> int:
 def build_table_unskipped(p, d) -> tuple[list[int], list[int]]:
     """``cover.build_table`` without its skip: every job runs the downward loop.
 
-    The oracle for the skip rule and the ``widest`` steps it reads, so
-    ``(best, marks)`` must be equal.
+    The oracle for the skip rule and the ``widest`` steps it reads. Bit k
+    of ``marks[i]`` is set when job i strictly lowered ``best[k]``, so
+    ``best`` must be equal and ``build_table``'s ``ends[k]`` must list the
+    jobs whose mark has bit k.
     """
     best = [0]
     marks = []

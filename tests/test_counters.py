@@ -90,7 +90,7 @@ def test_search_nodes_on_the_deep_tail():
 
 def test_cover_machines_and_jobs_per_round():
     # the benchmark's cover-mid shapes; every job still remaining is handed
-    # to each round's max_feasible_subset
+    # to each round's max_feasible_subset, until a round places one job
     corpus = [
         gen_random(GenSpec(family, n=600, seed=seed, slack_range=slack_range))
         for family, slack_range in (
@@ -102,14 +102,16 @@ def test_cover_machines_and_jobs_per_round():
         for seed in range(2)
     ]
     real = cover_module.max_feasible_subset
-    handed = 0
+    rounds = handed = 0
 
     def counting(p, d):
-        nonlocal handed
+        nonlocal rounds, handed
+        rounds += 1
         handed += len(p)
         return real(p, d)
 
     with mock.patch.object(cover_module, "max_feasible_subset", counting):
         machines = sum(setcover_greedy(instance).machine_count for instance in corpus)
     assert machines == 1_003
-    assert handed == 184_826
+    assert rounds == 731
+    assert handed == 171_764

@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import fosched.cover as cover_module
 from fosched import (
@@ -27,19 +29,28 @@ from helpers import (
 )
 
 
+def ends_of(table):
+    """``(best, marks)`` from ``build_table_unskipped`` as ``(best, ends)``:
+    ``ends[k]`` lists, ascending, the jobs whose mark has bit k."""
+    best, marks = table
+    return best, [[i for i, m in enumerate(marks) if m >> k & 1] for k in range(len(best))]
+
+
 class TestDpTable:
     def test_boundaries(self):
-        best, marks = build_table(NF_HARD_5.p, NF_HARD_5.d)
+        best, ends = build_table(NF_HARD_5.p, NF_HARD_5.d)
         assert best[0] == 0
-        assert len(marks) == NF_HARD_5.n
-        assert build_table((), ()) == ([0], [])
+        assert len(ends) == len(best)
+        assert ends[0] == []
+        assert all(0 <= i < NF_HARD_5.n for at in ends for i in at)
+        assert build_table((), ()) == ([0], [[]])
 
     def test_growth_family_values(self):
         # minimum completions: one job -> 1, odds {1,3} -> 4, odds {1,3,5} -> 12
-        best, marks = build_table(NF_HARD_5.p, NF_HARD_5.d)
+        best, ends = build_table(NF_HARD_5.p, NF_HARD_5.d)
         assert best == [0, 1, 4, 12]
         # each odd job opens the next size; the even ones improve nothing
-        assert marks == [0b10, 0, 0b100, 0, 0b1000]
+        assert ends == [[], [0], [2], [4]]
 
     @given(instances_st(max_n=10))
     @settings(max_examples=80)
@@ -57,12 +68,13 @@ class TestDpTable:
 
     @given(instances_st(max_n=9))
     @settings(max_examples=60)
-    def test_marks_are_the_oracle_strict_improvements(self, instance):
-        _, marks = build_table(instance.p, instance.d)
+    def test_ends_are_the_oracle_strict_improvements(self, instance):
+        _, ends = build_table(instance.p, instance.d)
         rows = subset_dp_rows(instance.p, instance.d)
-        for i, mark in enumerate(marks):
-            improved = {k for k in range(1, len(rows[0])) if rows[i + 1][k] < rows[i][k]}
-            assert {k for k in range(mark.bit_length()) if mark >> k & 1} == improved
+        assert ends[0] == []
+        for k in range(1, len(rows[0])):
+            improved = [i for i in range(instance.n) if rows[i + 1][k] < rows[i][k]]
+            assert (ends[k] if k < len(ends) else []) == improved
 
     @given(instances_st(max_n=10))
     @settings(max_examples=80)
@@ -95,7 +107,7 @@ class TestSkippingTable:
     @given(instances_st(max_n=60, max_p=30, max_slack=200))
     @settings(max_examples=150)
     def test_table_matches_the_unskipped_loop(self, instance):
-        assert build_table(instance.p, instance.d) == build_table_unskipped(instance.p, instance.d)
+        assert build_table(instance.p, instance.d) == ends_of(build_table_unskipped(instance.p, instance.d))
 
     @given(instances_st(max_n=60, max_p=30, max_slack=200))
     @settings(max_examples=100)
@@ -106,7 +118,7 @@ class TestSkippingTable:
         for slack_range in ((0, 30), (0, 300)):
             for seed in range(3):
                 inst = gen_random(GenSpec("arbitrary", n=600, seed=seed, slack_range=slack_range))
-                assert build_table(inst.p, inst.d) == build_table_unskipped(inst.p, inst.d)
+                assert build_table(inst.p, inst.d) == ends_of(build_table_unskipped(inst.p, inst.d))
                 assert setcover_greedy(inst) == setcover_rebuilding(inst), inst.name
 
 
@@ -160,6 +172,21 @@ class TestMaxFeasibleSubset:
             assert max_feasible_subset(inst.p, inst.d) == max_feasible_subset_table(inst.p, inst.d), pairs
 
 
+@contextmanager
+def counted_rounds():
+    """Patches ``cover.max_feasible_subset``; yields the sizes its calls return."""
+    rounds = []
+    real = cover_module.max_feasible_subset
+
+    def counting(p, d):
+        size, picks = real(p, d)
+        rounds.append(size)
+        return size, picks
+
+    with mock.patch.object(cover_module, "max_feasible_subset", counting):
+        yield rounds
+
+
 class TestSetCoverGreedy:
     def test_growth_family_covers_in_two_rounds(self):
         schedule = setcover_greedy(NF_HARD_5)
@@ -185,6 +212,30 @@ class TestSetCoverGreedy:
         inst = gen_tight2(1)
         assert setcover_greedy(inst).machine_count == 3
         assert optimal(inst).machine_count == 2
+
+    def test_no_pair_fits_so_one_round_covers(self):
+        # p >= 5 and slack <= 4: no job fits after another, so the first
+        # round places one job and every job gets a machine of its own
+        inst = gen_random(GenSpec("arbitrary", n=8, seed=1, p_range=(5, 9), slack_range=(0, 4)))
+        with counted_rounds() as rounds:
+            schedule = setcover_greedy(inst)
+        assert rounds == [1]
+        assert schedule == setcover_rebuilding(inst)
+        assert schedule.assignment == tuple(range(1, 9))
+
+    @given(instances_st(max_n=30, max_slack=2))
+    @example(Instance.from_pairs([(1, 1), (1, 2), (5, 5), (5, 5)]))
+    @settings(max_examples=150)
+    def test_one_job_tail_ends_the_cover(self, instance):
+        # narrow slacks fit a few short jobs together, then only lone jobs:
+        # the first round that places one job is the last call
+        with counted_rounds() as rounds:
+            schedule = setcover_greedy(instance)
+        assert schedule == setcover_rebuilding(instance)
+        sizes = Counter(schedule.assignment).values()
+        shared = sum(size >= 2 for size in sizes)
+        assert len(rounds) == shared + (shared < len(sizes))
+        assert all(size >= 2 for size in rounds[:shared])
 
     @given(instances_st(max_n=12))
     @settings(max_examples=80)
