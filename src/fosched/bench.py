@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, eq
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -82,17 +82,17 @@ def run(
     for name in ALGORITHMS:
         if name not in requested:
             continue
+        schedule = error = None
         start = time.perf_counter()
         try:
             schedule = _SOLVERS[name](instance, oracle_cap, node_budget)
         except (CapacityError, SearchBudgetError) as exc:
-            ms = round((time.perf_counter() - start) * 1000, 3)
-            reports.append(SolveReport(name, None, None, ms, exc))
-            continue
+            error = exc
         ms = round((time.perf_counter() - start) * 1000, 3)
-        if not is_feasible(instance, schedule):
+        if schedule is not None and not is_feasible(instance, schedule):
             raise RuntimeError(f"{name} produced an infeasible schedule")
-        reports.append(SolveReport(name, schedule.machine_count, schedule, ms))
+        count = None if schedule is None else schedule.machine_count
+        reports.append(SolveReport(name, count, schedule, ms, error))
     return reports
 
 
@@ -141,104 +141,41 @@ def evaluate(
 
 
 @dataclass(frozen=True)
-class _BoundAssertion:
-    """A guarantee a record must satisfy whenever it applies.
-
-    It applies to a record whose classes include ``order`` (every record's
-    include ARBITRARY, the empty set) and that holds every count ``reads``
-    returns (two or more), so a record lacking one (an opt above the oracle
-    cap or out of node budget) skips it. ``holds`` runs only where it
-    applies.
-    """
-
-    name: str
-    rule: str
-    order: OrderClass
-    reads: Callable[[BenchRecord], tuple]
-    holds: Callable[[BenchRecord], bool]
-
-
-@dataclass(frozen=True)
 class BoundViolation:
     assertion: str
     instance_id: str
     detail: str
 
 
-def _harmonic_cap(record: BenchRecord) -> int:
-    return math.ceil((math.log(record.n) + 1) * record.opt)
+def _ff_below_double(ff: int, opt: int) -> bool:
+    return opt < 1 or ff <= 2 * opt - 1
 
 
-def _ff_below_double(record: BenchRecord) -> bool:
-    return record.opt < 1 or record.ff <= 2 * record.opt - 1
-
-
-_FF_OPT = attrgetter("ff", "opt")
-
-_BOUND_ASSERTIONS: tuple[_BoundAssertion, ...] = (
-    _BoundAssertion(
-        "unit-ff-optimal",
-        "unit processing times: ff == opt",
-        OrderClass.UNIT_PROCESSING,
-        _FF_OPT,
-        lambda r: r.ff == r.opt,
-    ),
-    _BoundAssertion(
-        "slack-noninc-ff-equals-nf",
-        "non-increasing slacks: ff == nf",
-        OrderClass.SLACK_NONINCREASING,
-        attrgetter("ff", "nf"),
-        lambda r: r.ff == r.nf,
-    ),
-    _BoundAssertion(
-        "slack-noninc-ff-below-double",
-        "non-increasing slacks: ff <= 2*opt - 1",
-        OrderClass.SLACK_NONINCREASING,
-        _FF_OPT,
-        _ff_below_double,
-    ),
-    _BoundAssertion(
-        "slack-nondec-ff-below-double",
-        "non-decreasing slacks: ff <= 2*opt - 1",
-        OrderClass.SLACK_NONDECREASING,
-        _FF_OPT,
-        _ff_below_double,
-    ),
-    _BoundAssertion(
-        "deadline-noninc-ff-below-double",
-        "non-increasing deadlines: ff <= 2*opt - 1",
-        OrderClass.DEADLINE_NONINCREASING,
-        _FF_OPT,
-        _ff_below_double,
-    ),
-    _BoundAssertion(
-        "opt1-ff-exact",
-        "opt == 1: ff == 1",
-        OrderClass.ARBITRARY,
-        _FF_OPT,
-        lambda r: r.opt != 1 or r.ff == 1,
-    ),
-    _BoundAssertion(
-        "opt2-ff-at-most-3",
-        "opt == 2: ff <= 3",
-        OrderClass.ARBITRARY,
-        _FF_OPT,
-        lambda r: r.opt != 2 or r.ff <= 3,
-    ),
-    _BoundAssertion(
-        "opt3-ff-at-most-6",
-        "opt == 3: ff <= 6",
-        OrderClass.ARBITRARY,
-        _FF_OPT,
-        lambda r: r.opt != 3 or r.ff <= 6,
-    ),
-    _BoundAssertion(
-        "cover-harmonic",
-        "cover <= ceil((ln n + 1) * opt)",
-        OrderClass.ARBITRARY,
-        attrgetter("cover", "opt"),
-        lambda r: r.n < 1 or r.opt < 1 or r.cover <= _harmonic_cap(r),
-    ),
+# A guarantee a record must satisfy whenever it applies, as (name, rule, order
+# class, counts getter, test). It applies to a record whose classes include
+# the order class (every record's include ARBITRARY, the empty set) and that
+# holds every count the getter returns, so a record lacking one (an opt above
+# the oracle cap or out of node budget) skips it. The test takes those counts.
+_BOUND_ASSERTIONS = (
+    ("unit-ff-optimal", "unit processing times: ff == opt",
+     OrderClass.UNIT_PROCESSING, attrgetter("ff", "opt"), eq),
+    ("slack-noninc-ff-equals-nf", "non-increasing slacks: ff == nf",
+     OrderClass.SLACK_NONINCREASING, attrgetter("ff", "nf"), eq),
+    ("slack-noninc-ff-below-double", "non-increasing slacks: ff <= 2*opt - 1",
+     OrderClass.SLACK_NONINCREASING, attrgetter("ff", "opt"), _ff_below_double),
+    ("slack-nondec-ff-below-double", "non-decreasing slacks: ff <= 2*opt - 1",
+     OrderClass.SLACK_NONDECREASING, attrgetter("ff", "opt"), _ff_below_double),
+    ("deadline-noninc-ff-below-double", "non-increasing deadlines: ff <= 2*opt - 1",
+     OrderClass.DEADLINE_NONINCREASING, attrgetter("ff", "opt"), _ff_below_double),
+    ("opt1-ff-exact", "opt == 1: ff == 1", OrderClass.ARBITRARY,
+     attrgetter("ff", "opt"), lambda ff, opt: opt != 1 or ff == 1),
+    ("opt2-ff-at-most-3", "opt == 2: ff <= 3", OrderClass.ARBITRARY,
+     attrgetter("ff", "opt"), lambda ff, opt: opt != 2 or ff <= 3),
+    ("opt3-ff-at-most-6", "opt == 3: ff <= 6", OrderClass.ARBITRARY,
+     attrgetter("ff", "opt"), lambda ff, opt: opt != 3 or ff <= 6),
+    ("cover-harmonic", "cover <= ceil((ln n + 1) * opt)", OrderClass.ARBITRARY,
+     attrgetter("cover", "opt", "n"),
+     lambda cover, opt, n: n < 1 or opt < 1 or cover <= math.ceil((math.log(n) + 1) * opt)),
 )
 
 
@@ -249,20 +186,18 @@ def assert_bounds(record: BenchRecord) -> list[BoundViolation]:
     opt is still checked against ff == nf under non-increasing slacks.
     """
     violations = []
-    for assertion in _BOUND_ASSERTIONS:
-        if (
-            assertion.order in record.classes
-            and None not in assertion.reads(record)
-            and not assertion.holds(record)
-        ):
-            violations.append(
-                BoundViolation(
-                    assertion.name,
-                    record.instance_id,
-                    f"{assertion.rule} failed: ff={record.ff} nf={record.nf} "
-                    f"cover={record.cover} opt={record.opt} n={record.n}",
+    for name, rule, order, counts_of, holds in _BOUND_ASSERTIONS:
+        if order in record.classes:
+            counts = counts_of(record)
+            if None not in counts and not holds(*counts):
+                violations.append(
+                    BoundViolation(
+                        name,
+                        record.instance_id,
+                        f"{rule} failed: ff={record.ff} nf={record.nf} "
+                        f"cover={record.cover} opt={record.opt} n={record.n}",
+                    )
                 )
-            )
     return violations
 
 
@@ -372,6 +307,7 @@ def emit_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
 #      {"family": "tight-2", "k": 3} or {"family": "tight-2", "k_range": [1, 5]},
 #      {"family": "arbitrary", "n": 10, "count": 50, "seed": 7,
 #       "p_range": [1, 9], "slack_range": [0, 12]}]}
+# and takes no other top-level key.
 # Random entries expand to `count` instances seeded seed, seed+1, ...; an
 # n_range or k_range runs lo..hi and may not be inverted. A task's id is its
 # instance's name: nf-hard-n5, tight-2-k3, arbitrary-n10-s7.
@@ -454,6 +390,9 @@ def expand_sweep(doc: dict, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[Swe
     is generated."""
     if not isinstance(doc, dict) or not isinstance(doc.get("sweeps"), list):
         raise InputError('sweep file needs a "sweeps" array')
+    extra = set(doc) - {"algorithms", "sweeps"}
+    if extra:
+        raise InputError(f"sweep files take no {sorted(extra)}")
     default_algos = _algorithms(doc["algorithms"]) if "algorithms" in doc else ALGORITHMS
     entries = doc["sweeps"]
     if not all(isinstance(entry, dict) for entry in entries):

@@ -32,7 +32,7 @@ from .bench import (
     run_sweep,
     REPORT_COLUMNS,
 )
-from .core import InputError, instance_to_json, load_instance
+from .core import InputError, instance_to_json, load_instance, save_instance
 from .exact import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, SearchBudgetError
 from .greedy import placement_trace
 from .instances import FAMILIES, GenSpec
@@ -116,11 +116,10 @@ def _gen_fields(args) -> dict:
 def _cmd_gen(args) -> int:
     # a one-entry sweep, so gen checks its flags as a sweep entry's keys
     [(_, instance, _)] = expand_sweep({"sweeps": [_gen_fields(args)]})
-    text = instance_to_json(instance)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        save_instance(instance, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(instance_to_json(instance))
     return EXIT_OK
 
 

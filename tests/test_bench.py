@@ -19,6 +19,7 @@ from fosched import (
     DEFAULT_ORACLE_CAP,
     MAX_JOBS,
     BenchRecord,
+    BoundViolation,
     CapacityError,
     GenSpec,
     HuntResult,
@@ -175,6 +176,50 @@ class TestAssertBounds:
     def test_skips_assertions_missing_their_counts(self):
         record = BenchRecord("x", 5, OrderClass.SLACK_NONINCREASING, ff=1, opt=1)
         assert assert_bounds(record) == []  # no nf, no cover: only ff bounds run
+
+    # Each rule's name, class, the counts it reads set one past its bound, and
+    # the rule text its detail carries; no other rule applies to the record.
+    RULES = [
+        ("unit-ff-optimal", OrderClass.UNIT_PROCESSING, {"ff": 5, "opt": 4},
+         "unit processing times: ff == opt"),
+        ("slack-noninc-ff-equals-nf", OrderClass.SLACK_NONINCREASING, {"ff": 2, "nf": 3},
+         "non-increasing slacks: ff == nf"),
+        ("slack-noninc-ff-below-double", OrderClass.SLACK_NONINCREASING, {"ff": 8, "opt": 4},
+         "non-increasing slacks: ff <= 2*opt - 1"),
+        ("slack-nondec-ff-below-double", OrderClass.SLACK_NONDECREASING, {"ff": 8, "opt": 4},
+         "non-decreasing slacks: ff <= 2*opt - 1"),
+        ("deadline-noninc-ff-below-double", OrderClass.DEADLINE_NONINCREASING,
+         {"ff": 8, "opt": 4}, "non-increasing deadlines: ff <= 2*opt - 1"),
+        ("opt1-ff-exact", OrderClass.ARBITRARY, {"ff": 2, "opt": 1}, "opt == 1: ff == 1"),
+        ("opt2-ff-at-most-3", OrderClass.ARBITRARY, {"ff": 4, "opt": 2}, "opt == 2: ff <= 3"),
+        ("opt3-ff-at-most-6", OrderClass.ARBITRARY, {"ff": 7, "opt": 3}, "opt == 3: ff <= 6"),
+        # ceil((ln 10 + 1) * 2) == 7
+        ("cover-harmonic", OrderClass.ARBITRARY, {"cover": 8, "opt": 2},
+         "cover <= ceil((ln n + 1) * opt)"),
+    ]
+
+    @pytest.mark.parametrize("name, classes, counts, rule", RULES, ids=[r[0] for r in RULES])
+    def test_each_rule_fires_alone_and_skips_without_its_counts(self, name, classes, counts, rule):
+        violations = assert_bounds(BenchRecord("r", 10, classes, **counts))
+        shown = " ".join(f"{a}={counts.get(a)}" for a in ("ff", "nf", "cover", "opt"))
+        assert violations == [BoundViolation(name, "r", f"{rule} failed: {shown} n=10")]
+        for count in counts:
+            record = BenchRecord("r", 10, classes, **{**counts, count: None})
+            assert assert_bounds(record) == []
+
+    @pytest.mark.parametrize("opt", [1, 2, 3])
+    def test_rules_report_in_table_order(self, opt):
+        every_class = (
+            OrderClass.UNIT_PROCESSING | OrderClass.SLACK_NONINCREASING
+            | OrderClass.SLACK_NONDECREASING | OrderClass.DEADLINE_NONINCREASING
+        )
+        record = BenchRecord("r", 4, every_class, ff=2 * opt + 1, nf=2 * opt + 2, cover=99, opt=opt)
+        small_opt = ["opt1-ff-exact", "opt2-ff-at-most-3", "opt3-ff-at-most-6"][opt - 1]
+        assert [v.assertion for v in assert_bounds(record)] == [
+            "unit-ff-optimal", "slack-noninc-ff-equals-nf", "slack-noninc-ff-below-double",
+            "slack-nondec-ff-below-double", "deadline-noninc-ff-below-double", small_opt,
+            "cover-harmonic",
+        ]
 
 
 class TestCounterexampleSearch:
@@ -371,6 +416,11 @@ class TestSweeps:
     def test_keys_outside_the_family_are_named(self, entry, message):
         with pytest.raises(InputError, match=re.escape(message)):
             expand_sweep({"sweeps": [entry]})
+
+    def test_unknown_top_level_keys_are_named(self):
+        doc = {"algorithm": ["ff"], "sweeps": [{"family": "arbitrary", "n": 5}]}
+        with pytest.raises(InputError, match=re.escape("sweep files take no ['algorithm']")):
+            expand_sweep(doc)
 
     @pytest.mark.parametrize(
         "entries",

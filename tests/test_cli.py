@@ -284,9 +284,8 @@ class TestBench:
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"sweeps": [{"family": "nf-hard", "n": 4}]}))
         out = tmp_path / "r.csv"
-        broken = bench_mod._BoundAssertion(
-            "always-fails", "ff == 0", OrderClass.ARBITRARY, attrgetter("ff", "nf"), lambda r: False
-        )
+        broken = ("always-fails", "ff == 0", OrderClass.ARBITRARY, attrgetter("ff", "nf"),
+                  lambda ff, nf: False)
         monkeypatch.setattr(bench_mod, "_BOUND_ASSERTIONS", (broken,))
         argv = ["bench", "--sweep", str(sweep), "--out", str(out), "--assert-bounds"]
         assert main(argv) == 2
@@ -347,6 +346,7 @@ class TestBench:
             b'{"sweeps": [{"family": "arbitrary", "n": 3}], "algorithms": "ff"}',
             b'{"sweeps": [{"family": "arbitrary", "n": 3, "count": true}]}',
             b'{"sweeps": [5]}',
+            b'{"algorithm": ["ff"], "sweeps": [{"family": "arbitrary", "n": 5}]}',
         ],
     )
     def test_bad_sweep_is_one_input_error_line(self, tmp_path, capsys, content):
