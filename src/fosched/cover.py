@@ -43,9 +43,9 @@ def build_table(p: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[lis
     first size whose ``widest`` exceeds p, and nothing below it. The update
     runs from low up to hi, keeping the old ``best[k-1]`` aside, and
     rebuilds ``widest`` as it goes. Above hi only the step at hi + 1 is new,
-    so ``widest`` past it moves only where the old entries sit below the new
-    running maximum (raised by one slice assignment), or where they equal an
-    old maximum that fell (recomputed until the running maximum meets it).
+    and each later ``widest[k]`` is the larger of ``widest[k-1]`` and an
+    unchanged step, so the same pass goes on upward and stops at the first
+    entry it leaves as it was: every entry above that one is unchanged too.
     """
     best = [0]
     widest = [0]
@@ -79,29 +79,14 @@ def build_table(p: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[lis
                 step = value - below
             widest[k] = step
             below = value
-        k = hi + 1
-        if k == top:
-            continue
-        value = best[k]
-        if value - below > step:
-            step = value - below
-        was = widest[k]
-        widest[k] = step
-        if step > was:
-            # the running maximum rose: raise the entries below it
-            end = bisect_left(widest, step, k + 1)
-            widest[k + 1 : end] = [step] * (end - k - 1)
-        elif step < was:
-            # it fell: the entries equal to was need the old steps again
+        for k in range(hi + 1, top):
+            value = best[k]
+            if value - below > step:
+                step = value - below
+            if widest[k] == step:
+                break
+            widest[k] = step
             below = value
-            for k in range(k + 1, top):
-                if step >= was:
-                    break
-                value = best[k]
-                if value - below > step:
-                    step = value - below
-                widest[k] = step
-                below = value
     return best, ends
 
 

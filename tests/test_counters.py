@@ -64,6 +64,32 @@ def test_search_nodes_per_family(family):
     assert _deepening_nodes(instances) == SEARCH_NODES[family]
 
 
+# above the default oracle cap of 20 jobs: (n, seeds) -> totals per family
+SCALING_NODES = {
+    (24, 40): {
+        "unit": 3_236,
+        "slack-noninc": 26_817,
+        "slack-nondec": 9_164,
+        "deadline-noninc": 2_281,
+        "arbitrary": 62_977,
+    },
+    (28, 10): {
+        "unit": 1_457,
+        "slack-noninc": 15_412,
+        "slack-nondec": 18_965,
+        "deadline-noninc": 350,
+        "arbitrary": 164_006,
+    },
+}
+
+
+@pytest.mark.parametrize("n, seeds", SCALING_NODES)
+@pytest.mark.parametrize("family", RANDOM_FAMILIES)
+def test_search_nodes_above_the_oracle_cap(family, n, seeds):
+    instances = [gen_random(GenSpec(family, n=n, seed=seed)) for seed in range(seeds)]
+    assert _deepening_nodes(instances) == SCALING_NODES[n, seeds][family]
+
+
 def test_search_nodes_on_a_paper_sweep_shaped_corpus():
     # the benchmark's paper sweep draws n=16 with the default ranges
     instances = [

@@ -97,11 +97,31 @@ class TestDpTable:
             assert completion == best[k]
 
 
+def skipped_jobs(p, d):
+    """Whether ``build_table`` skips each job, read off its ``bisect_right``
+    calls: one into ``best`` per job, then one into ``widest`` for each job
+    its skip test lets through."""
+    searched = []
+    real = cover_module.bisect_right
+
+    def spy(a, x):
+        searched.append(a)
+        return real(a, x)
+
+    with mock.patch.object(cover_module, "bisect_right", spy):
+        best, _ = build_table(p, d)
+    searched.append(best)
+    return [b is best for a, b in zip(searched, searched[1:]) if a is best]
+
+
 class TestSkippingTable:
     """The skipping table and the in-place cover against their unskipped oracles.
 
-    Long, wide instances grow long tables with uneven steps, so the skip
-    test and the rebuilt ``widest`` are read at every size.
+    Long, wide instances grow long tables with uneven steps, so jobs update
+    many sizes and the ``widest`` pass above them runs both short and long.
+    A ``widest`` entry left too low skips a job that changes the table; one
+    left too high only lets through a job that changes nothing, which no
+    output shows, so the skip tests check which jobs are let through.
     """
 
     @given(instances_st(max_n=60, max_p=30, max_slack=200))
@@ -120,6 +140,19 @@ class TestSkippingTable:
                 inst = gen_random(GenSpec("arbitrary", n=600, seed=seed, slack_range=slack_range))
                 assert build_table(inst.p, inst.d) == ends_of(build_table_unskipped(inst.p, inst.d))
                 assert setcover_greedy(inst) == setcover_rebuilding(inst), inst.name
+
+    @given(instances_st(max_n=60, max_p=30, max_slack=200))
+    @settings(max_examples=150)
+    def test_skip_lets_through_exactly_the_jobs_that_lower_a_size(self, instance):
+        _, marks = build_table_unskipped(instance.p, instance.d)
+        assert skipped_jobs(instance.p, instance.d) == [mark == 0 for mark in marks]
+
+    def test_skip_is_exact_on_cover_mid_shaped_instances(self):
+        for slack_range in ((0, 30), (0, 300)):
+            for seed in range(3):
+                inst = gen_random(GenSpec("arbitrary", n=600, seed=seed, slack_range=slack_range))
+                _, marks = build_table_unskipped(inst.p, inst.d)
+                assert skipped_jobs(inst.p, inst.d) == [mark == 0 for mark in marks], inst.name
 
 
 class TestMaxFeasibleSubset:
