@@ -12,11 +12,10 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
 from operator import attrgetter, eq
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import InputError, Instance, Schedule, _require_int, is_feasible
 from .cover import setcover_greedy
@@ -33,6 +32,9 @@ from .instances import (
     gen_random,
     generate,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ALGORITHMS = ("ff", "nf", "cover", "opt")
 
@@ -217,7 +219,7 @@ class HuntResult:
 def counterexample_search(
     budget: int,
     template: GenSpec,
-    threshold: Fraction | int = Fraction(2),
+    threshold: Fraction | int = 2,
     *,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int | None = None,
@@ -231,6 +233,9 @@ def counterexample_search(
     Seeded instances above the oracle cap could get no ratio, so they are
     counted as skipped without being generated.
     """
+    # Imported here: no other path reads a ratio.
+    from fractions import Fraction
+
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
     skipped = budget if template.n > oracle_cap else 0

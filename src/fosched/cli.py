@@ -169,6 +169,10 @@ def _cmd_bench(args) -> int:
     fmt = "json" if args.out.endswith(".json") else "csv"
     cap = _oracle_cap()
     tasks = expand_sweep(load_sweep(args.sweep), oracle_cap=cap)
+    # An unwritable --out fails before any solve; appending nothing leaves a
+    # report already there as it is.
+    with open(args.out, "a", encoding="utf-8"):
+        pass
     records = run_sweep(
         tasks, jobs=args.jobs, oracle_cap=cap, node_budget=args.node_budget
     )

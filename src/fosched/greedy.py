@@ -13,10 +13,13 @@ A rule's trace depends only on the instance and the schedule it produced, so
 ``placement_trace`` derives it afterwards. Its ``tried`` counts the rule's
 fit tests in label order: first fit tests machines up to the chosen one, or
 every open one before opening a new one; next fit tests the last opened one.
+``first_fit_traced`` returns that trace unbuilt: it is derived the first time
+it is read, so ``first_fit``, which drops it, never builds it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .core import InputError, Instance, Schedule, completion_profile
@@ -50,6 +53,43 @@ def placement_trace(
     return tuple(trace)
 
 
+class _DeferredTrace(Sequence):
+    """First fit's trace, derived by ``placement_trace`` on first read and
+    kept; it reads, compares and hashes as that tuple does."""
+
+    __slots__ = ("_instance", "_schedule", "_trace")
+
+    def __init__(self, instance: Instance, schedule: Schedule) -> None:
+        self._instance = instance
+        self._schedule = schedule
+        self._trace: tuple[PlacementTrace, ...] | None = None
+
+    def _items(self) -> tuple[PlacementTrace, ...]:
+        if self._trace is None:
+            self._trace = placement_trace(self._instance, self._schedule, "ff")
+        return self._trace
+
+    def __getitem__(self, index):
+        return self._items()[index]
+
+    def __len__(self) -> int:
+        return len(self._items())
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _DeferredTrace):
+            other = other._items()
+        return self._items() == other
+
+    def __hash__(self) -> int:
+        return hash(self._items())
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+
 def first_fit(instance: Instance) -> Schedule:
     """Place each job on the lowest-labeled machine that still meets its
     deadline, opening a new machine when none does."""
@@ -57,7 +97,8 @@ def first_fit(instance: Instance) -> Schedule:
     return schedule
 
 
-def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace, ...]]:
+def first_fit_traced(instance: Instance) -> tuple[Schedule, Sequence[PlacementTrace]]:
+    """First fit's schedule and its trace, which is derived on first read."""
     # Min-load tree over `size` leaves; leaf size + i holds machine i+1's
     # load and unopened machines read 0. Since slack >= 0, a root above the
     # slack means every leaf is an open machine and none admits the job.
@@ -95,7 +136,7 @@ def first_fit_traced(instance: Instance) -> tuple[Schedule, tuple[PlacementTrace
                 break
             tree[node] = low
     schedule = Schedule._trusted(tuple(assignment))
-    return schedule, placement_trace(instance, schedule, "ff")
+    return schedule, _DeferredTrace(instance, schedule)
 
 
 def next_fit(instance: Instance) -> Schedule:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ import fosched.bench as bench_module
 import fosched.cli as cli_module
 import fosched.greedy as greedy_module
 from fosched import (
-    Instance, OrderClass, Schedule, gen_nf_hard, gen_random, gen_tight2, instance_to_json,
+    InputError, Instance, OrderClass, Schedule, gen_nf_hard, gen_random, gen_tight2, instance_to_json,
     save_instance,
 )
 from fosched.cli import main
@@ -250,6 +251,30 @@ class TestBench:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/r.csv", "."])
+    def test_unwritable_out_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, out):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved the sweep")
+
+        monkeypatch.setattr(cli_module, "run_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        Path("s.json").write_text(json.dumps({"sweeps": [{"family": "nf-hard", "n": 4}]}))
+        assert main(["bench", "--sweep", "s.json", "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_existing_report_is_untouched_until_the_sweep_is_solved(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise InputError("stopped before writing")
+
+        monkeypatch.setattr(cli_module, "run_sweep", refuse)
+        sweep, out = tmp_path / "s.json", tmp_path / "r.csv"
+        sweep.write_text(json.dumps({"sweeps": [{"family": "nf-hard", "n": 4}]}))
+        out.write_text("an earlier report\n")
+        assert main(["bench", "--sweep", str(sweep), "--out", str(out)]) == 1
+        assert out.read_text() == "an earlier report\n"
 
     def test_sweep_to_csv_with_bounds(self, tmp_path):
         sweep = tmp_path / "sweep.json"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import fosched.greedy as greedy_module
 from fosched import (
     RANDOM_FAMILIES,
     CoverageError,
@@ -17,8 +18,10 @@ from fosched import (
     is_feasible,
     loads,
     next_fit,
+    optimal,
     placement_trace,
 )
+from fosched.bench import evaluate
 from helpers import NF_HARD_5, first_fit_linear_traced, instances_st, next_fit_traced
 
 
@@ -149,6 +152,52 @@ class TestPlacementTrace:
 
     def test_empty(self):
         assert placement_trace(Instance((), ()), Schedule(()), "nf") == ()
+
+
+class TestDeferredTrace:
+    """first_fit_traced hands back its trace unbuilt; placement_trace runs
+    the first time the trace is read, and never on a solve."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        real = greedy_module.placement_trace
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(greedy_module, "placement_trace", counted)
+        return calls
+
+    def test_no_solve_builds_a_trace(self, derivations):
+        first_fit(NF_HARD_5)
+        optimal(NF_HARD_5)
+        record = evaluate(NF_HARD_5, "nf5", ("ff", "nf", "cover", "opt"))
+        assert (record.ff, record.opt) == (2, 2)
+        assert derivations == []
+
+    def test_derived_once_on_first_read(self, derivations):
+        schedule, trace = first_fit_traced(NF_HARD_5)
+        assert derivations == []
+        expected = placement_trace(NF_HARD_5, schedule, "ff")
+        derivations.clear()
+        assert len(trace) == 5
+        assert trace[0] == expected[0]
+        assert trace[1:] == expected[1:]
+        assert [placement for placement in trace] == list(expected)
+        assert trace == expected
+        assert derivations == ["ff"]
+
+    def test_equals_and_hashes_as_the_tuple(self):
+        schedule, trace = first_fit_traced(NF_HARD_5)
+        expected = placement_trace(NF_HARD_5, schedule, "ff")
+        assert trace == expected and expected == trace
+        assert not (trace != expected or expected != trace)
+        assert first_fit_traced(NF_HARD_5)[1] == trace
+        assert hash(trace) == hash(expected)
+        assert trace != expected[:-1] and expected[:-1] != trace
+        assert first_fit_traced(Instance((), ()))[1] == ()
 
 
 @given(instances_st())

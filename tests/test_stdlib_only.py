@@ -1,6 +1,8 @@
 """``fosched`` imports nothing outside the standard library and itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +31,14 @@ def test_imports_are_stdlib_or_fosched(path):
             if top != "fosched" and top not in sys.stdlib_module_names:
                 outside.append(f"line {node.lineno}: {name}")
     assert not outside
+
+
+def test_import_leaves_fractions_unloaded():
+    # Only the counterexample hunt reads a ratio; it imports fractions itself.
+    # -S keeps site hooks from loading modules of their own.
+    code = "import sys, fosched; print('fractions' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
